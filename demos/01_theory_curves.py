@@ -9,7 +9,6 @@ S(m) = (1 - m) S. Below alpha * S(m)^2 = 1 nothing is learned at all.
 import numpy as np
 
 from spiked_pca import (
-    TheoryPoint,
     asymptotic_r2,
     critical_alpha,
     critical_missing_rate,
@@ -29,8 +28,7 @@ print()
 print("missing rate sweep (note the collapse near m_crit):")
 print(f"{'m':>6} {'S(m)':>8} {'R^2':>8}")
 for m in np.linspace(0.0, 1.0, 11):
-    point = TheoryPoint.evaluate(alpha, snr, m)
-    print(f"{m:6.2f} {point.effective_snr:8.2f} {point.predicted_r2:8.5f}")
+    print(f"{m:6.2f} {(1 - m) * snr:8.2f} {theory_r2_missing(alpha, snr, m):8.5f}")
 print()
 
 print("the transition is continuous: R^2 just above threshold stays tiny")

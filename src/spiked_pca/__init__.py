@@ -53,7 +53,6 @@ from .ppca import (
 )
 from .synthetic import GroundTruth, make_ground_truth, sample_dataset
 from .theory import (
-    TheoryPoint,
     asymptotic_r2,
     critical_alpha,
     critical_missing_rate,
@@ -81,7 +80,6 @@ __all__ = [
     "SnrEstimate",
     "SpikedPcaError",
     "SweepResult",
-    "TheoryPoint",
     "add_isotropic_noise",
     "apply_mcar_mask",
     "asymptotic_r2",

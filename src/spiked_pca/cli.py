@@ -184,9 +184,9 @@ def _build_parser():
     p = sub.add_parser("fit", help="fit probabilistic PCA on a masked CSV")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--max-iter", type=int, default=1000)
-    p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-iter", type=int, default=FitOptions.max_iterations)
+    p.add_argument("--tol", type=float, default=FitOptions.rel_tolerance)
+    p.add_argument("--seed", type=int, default=FitOptions.seed)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_fit)
 

@@ -6,13 +6,10 @@ signal-to-noise sweep draws a low-noise dataset per repetition, fixes one
 mask, and then adds increasing isotropic noise to the clean masked data.
 Every cell of the (grid x repetition) lattice gets its own seed derived
 from the base seed, so results are reproducible and independent of
-execution order. The environment variable ``SPIKED_PCA_THREADS`` caps
-how many cells run concurrently (unset or 0 means serial).
+execution order.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -132,68 +129,63 @@ class SweepResult(tuple):
         return tuple(self)
 
 
-def _max_workers():
-    raw = os.environ.get("SPIKED_PCA_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    return value if value > 1 else 1
+def _run_lattice(cfg, prepare, perturb, cell_point):
+    """Fit every (repetition, grid cell) and fold the alignments into records.
 
-
-def _run_cells(tasks):
-    """Evaluate cell closures, possibly concurrently, in stable order."""
-    workers = _max_workers()
-    if workers == 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda task: task(), tasks))
-
-
-def _collect_outcomes(outcomes, n_grid, repetitions):
-    """Split flat cell outcomes into a per-(rep, cell) table and failures."""
-    cell_values = [[None] * n_grid for _ in range(repetitions)]
-    failures = []
-    for flat, outcome in enumerate(outcomes):
-        rep, ci = divmod(flat, n_grid)
-        if isinstance(outcome, CellFailure):
-            failures.append(outcome)
-        else:
-            cell_values[rep][ci] = outcome
-    return cell_values, failures
-
-
-def _aggregate(cfg, cell_values, sweep_values, theory, theory_alt):
-    """Fold per-cell R^2 vectors into CurveRecords in fixed lattice order.
-
-    ``cell_values[rep][ci]`` is a k-vector of alignments or None for a
-    failed cell. Aggregation uses the sample mean and, for two or more
-    surviving repetitions, the sample standard deviation.
+    ``prepare(data, rep)`` turns a repetition's sampled dataset into the
+    base every cell of that repetition starts from, ``perturb(base, rep,
+    ci, value)`` gives the matrix fitted at grid cell ``ci`` and
+    ``cell_point(gt, value)`` returns the cell's recorded sweep values, its
+    per-component signal-to-noise vector S and its missing rate m, from
+    which both theory columns follow. A fit that raises becomes a
+    CellFailure on the result; each cell with at least one surviving fit
+    is summarized by the sample mean and, for two or more surviving
+    repetitions, the sample standard deviation.
     """
-    k = len(cfg.norms)
+    alpha = cfg.n / cfg.d
+    gt = make_ground_truth(
+        cfg.d,
+        cfg.norms,
+        cfg.noise_variance,
+        seed=derive_cell_seed(cfg.base_seed, 0, 0, STREAM_GROUND_TRUTH),
+    )
+    per_cell = [[] for _ in cfg.grid]
+    failures = []
+    for rep in range(cfg.repetitions):
+        data = sample_dataset(
+            gt, cfg.n, derive_cell_seed(cfg.base_seed, rep, 0, STREAM_DATASET)
+        )
+        base = prepare(data, rep)
+        for ci, value in enumerate(cfg.grid):
+            x = perturb(base, rep, ci, value)
+            opts = replace(
+                cfg.fit, seed=derive_cell_seed(cfg.base_seed, rep, ci, STREAM_FIT)
+            )
+            try:
+                model = fit_ppca(x, opts)
+                per_cell[ci].append(component_r2(extract_directions(model), gt))
+            except SpikedPcaError as exc:
+                failures.append(CellFailure(rep, ci, value, str(exc)))
+
     records = []
-    for ci in range(len(cfg.grid)):
-        per_rep = [cell_values[rep][ci] for rep in range(cfg.repetitions)]
-        got = np.array([v for v in per_rep if v is not None])
-        if got.size == 0:
+    for value, got in zip(cfg.grid, per_cell):
+        if not got:
             continue
-        for comp in range(k):
-            vals = got[:, comp]
+        sweep_values, snrs, m = cell_point(gt, value)
+        for comp, vals in enumerate(np.array(got).T):
             std = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
             records.append(
                 CurveRecord(
-                    sweep_value=sweep_values[ci][comp],
+                    sweep_value=sweep_values[comp],
                     component=comp + 1,
                     r2_mean=float(vals.mean()),
                     r2_std=std,
                     n_reps=int(vals.size),
-                    theory_r2=theory[ci][comp],
-                    theory_alt_r2=theory_alt[ci][comp],
+                    theory_r2=theory_r2_missing(alpha, snrs[comp], m),
+                    theory_alt_r2=theory_r2_effective_sample(alpha, snrs[comp], m),
                 )
             )
-    return records
+    return SweepResult(records, failures)
 
 
 def run_missing_rate_sweep(cfg):
@@ -208,50 +200,16 @@ def run_missing_rate_sweep(cfg):
         raise DomainError(f"config is for sweep kind {cfg.sweep_kind!r}")
     if any(not 0.0 <= m <= 1.0 for m in cfg.grid):
         raise DomainError("missing-rate grid must lie inside [0, 1]")
-    alpha = cfg.n / cfg.d
-    gt = make_ground_truth(
-        cfg.d,
-        cfg.norms,
-        cfg.noise_variance,
-        seed=derive_cell_seed(cfg.base_seed, 0, 0, STREAM_GROUND_TRUTH),
-    )
-    snrs = gt.snr_per_component
-    datasets = [
-        sample_dataset(gt, cfg.n, derive_cell_seed(cfg.base_seed, rep, 0, STREAM_DATASET))
-        for rep in range(cfg.repetitions)
-    ]
 
-    def make_task(rep, ci, m):
-        def task():
-            masked = apply_mcar_mask(
-                datasets[rep], m, derive_cell_seed(cfg.base_seed, rep, ci, STREAM_MASK)
-            )
-            opts = replace(
-                cfg.fit, seed=derive_cell_seed(cfg.base_seed, rep, ci, STREAM_FIT)
-            )
-            try:
-                model = fit_ppca(masked, opts)
-                return component_r2(extract_directions(model), gt)
-            except SpikedPcaError as exc:
-                return CellFailure(rep, ci, m, str(exc))
+    def remask(data, rep, ci, m):
+        return apply_mcar_mask(
+            data, m, derive_cell_seed(cfg.base_seed, rep, ci, STREAM_MASK)
+        )
 
-        return task
+    def cell_point(gt, m):
+        return [m] * len(cfg.norms), gt.snr_per_component, m
 
-    tasks = [
-        make_task(rep, ci, m)
-        for rep in range(cfg.repetitions)
-        for ci, m in enumerate(cfg.grid)
-    ]
-    cell_values, failures = _collect_outcomes(
-        _run_cells(tasks), len(cfg.grid), cfg.repetitions
-    )
-
-    sweep_values = [[m] * len(cfg.norms) for m in cfg.grid]
-    theory = [[theory_r2_missing(alpha, s, m) for s in snrs] for m in cfg.grid]
-    theory_alt = [
-        [theory_r2_effective_sample(alpha, s, m) for s in snrs] for m in cfg.grid
-    ]
-    return SweepResult(_aggregate(cfg, cell_values, sweep_values, theory, theory_alt), failures)
+    return _run_lattice(cfg, lambda data, rep: data, remask, cell_point)
 
 
 def run_snr_sweep(cfg):
@@ -267,64 +225,26 @@ def run_snr_sweep(cfg):
         raise DomainError(f"config is for sweep kind {cfg.sweep_kind!r}")
     if any(g < 0 for g in cfg.grid):
         raise DomainError("added-noise grid must be nonnegative")
-    alpha = cfg.n / cfg.d
     m = cfg.fixed_missing_rate
-    gt = make_ground_truth(
-        cfg.d,
-        cfg.norms,
-        cfg.noise_variance,
-        seed=derive_cell_seed(cfg.base_seed, 0, 0, STREAM_GROUND_TRUTH),
-    )
-    # squared column norms in component order (descending), however cfg.norms
-    # was given
-    norms2 = (gt.directions ** 2).sum(axis=0)
-    masked_clean = []
-    for rep in range(cfg.repetitions):
-        data = sample_dataset(
-            gt, cfg.n, derive_cell_seed(cfg.base_seed, rep, 0, STREAM_DATASET)
-        )
-        masked_clean.append(
-            apply_mcar_mask(data, m, derive_cell_seed(cfg.base_seed, rep, 0, STREAM_MASK))
+
+    def mask_once(data, rep):
+        return apply_mcar_mask(
+            data, m, derive_cell_seed(cfg.base_seed, rep, 0, STREAM_MASK)
         )
 
-    def make_task(rep, ci, sigma2_added):
-        def task():
-            noisy = add_isotropic_noise(
-                masked_clean[rep],
-                sigma2_added,
-                derive_cell_seed(cfg.base_seed, rep, ci, STREAM_NOISE),
-            )
-            opts = replace(
-                cfg.fit, seed=derive_cell_seed(cfg.base_seed, rep, ci, STREAM_FIT)
-            )
-            try:
-                model = fit_ppca(noisy, opts)
-                return component_r2(extract_directions(model), gt)
-            except SpikedPcaError as exc:
-                return CellFailure(rep, ci, sigma2_added, str(exc))
-
-        return task
-
-    tasks = [
-        make_task(rep, ci, s2a)
-        for rep in range(cfg.repetitions)
-        for ci, s2a in enumerate(cfg.grid)
-    ]
-    cell_values, failures = _collect_outcomes(
-        _run_cells(tasks), len(cfg.grid), cfg.repetitions
-    )
-
-    sweep_values = []
-    theory = []
-    theory_alt = []
-    for s2a in cfg.grid:
-        snr_result = norms2 / (cfg.noise_variance + s2a)
-        sweep_values.append(list(snr_result))
-        theory.append([theory_r2_missing(alpha, s, m) for s in snr_result])
-        theory_alt.append(
-            [theory_r2_effective_sample(alpha, s, m) for s in snr_result]
+    def add_noise(masked, rep, ci, sigma2_added):
+        return add_isotropic_noise(
+            masked, sigma2_added, derive_cell_seed(cfg.base_seed, rep, ci, STREAM_NOISE)
         )
-    return SweepResult(_aggregate(cfg, cell_values, sweep_values, theory, theory_alt), failures)
+
+    def cell_point(gt, sigma2_added):
+        # squared column norms in component order (descending), however
+        # cfg.norms was given
+        norms2 = (gt.directions ** 2).sum(axis=0)
+        snrs = norms2 / (cfg.noise_variance + sigma2_added)
+        return snrs, snrs, m
+
+    return _run_lattice(cfg, mask_once, add_noise, cell_point)
 
 
 def compare_hypotheses(records, min_m):

@@ -230,9 +230,9 @@ def read_experiment_config(path):
         norms = tuple(float(v) for v in need("norms").split(","))
         fit = FitOptions(
             k=section.getint("k", len(norms)),
-            max_iterations=section.getint("max_iterations", 1000),
-            rel_tolerance=section.getfloat("rel_tolerance", 1e-7),
-            tolerance_streak=section.getint("tolerance_streak", 3),
+            max_iterations=section.getint("max_iterations", FitOptions.max_iterations),
+            rel_tolerance=section.getfloat("rel_tolerance", FitOptions.rel_tolerance),
+            tolerance_streak=section.getint("tolerance_streak", FitOptions.tolerance_streak),
         )
         return ExperimentConfig(
             sweep_kind=need("sweep_kind"),

@@ -81,13 +81,17 @@ def center_observed(x):
 
     Returns the centered matrix (missing entries untouched) and the mean
     vector needed to invert the transform. A column with no observed
-    entries has no mean and raises :class:`DegenerateColumnError`.
+    entries has no mean and raises :class:`DegenerateColumnError`; a
+    non-finite observed value raises :class:`DomainError`.
     """
     counts = x.mask.sum(axis=0)
     empty = np.flatnonzero(counts == 0)
     if empty.size:
         raise DegenerateColumnError(empty[0], "cannot compute an observed mean")
-    mean = np.where(x.mask, x.values, 0.0).sum(axis=0) / counts
+    observed = np.where(x.mask, x.values, 0.0)
+    if not np.isfinite(observed).all():
+        raise DomainError("observed entries must be finite")
+    mean = observed.sum(axis=0) / counts
     centered = np.where(x.mask, x.values - mean, x.values)
     return MaskedMatrix(centered, x.mask), mean
 

@@ -66,6 +66,8 @@ def covariance_eigenvalues(x):
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise DomainError("expected a 2-d matrix")
+    if not np.isfinite(x).all():
+        raise DomainError("input matrix must be finite")
     n, d = x.shape
     centered = x - x.mean(axis=0)
     s = np.linalg.svd(centered, compute_uv=False)

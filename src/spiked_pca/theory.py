@@ -15,7 +15,6 @@ S(m) = (1 - m) * S; the competing "effective sample size" hypothesis
 """
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 
@@ -104,30 +103,6 @@ def critical_alpha(snr, m):
     if not 0.0 <= m < 1.0:
         raise DomainError(f"m must lie in [0, 1), got {m}")
     return 1.0 / ((1.0 - m) * snr) ** 2
-
-
-@dataclass(frozen=True)
-class TheoryPoint:
-    """One evaluated point of the predicted learning curve."""
-
-    alpha: float
-    snr: float
-    missing_rate: float
-    effective_snr: float
-    predicted_r2: float
-
-    @classmethod
-    def evaluate(cls, alpha, snr, missing_rate):
-        alpha = float(alpha)
-        snr = float(snr)
-        missing_rate = float(missing_rate)
-        return cls(
-            alpha=alpha,
-            snr=snr,
-            missing_rate=missing_rate,
-            effective_snr=(1.0 - missing_rate) * snr,
-            predicted_r2=theory_r2_missing(alpha, snr, missing_rate),
-        )
 
 
 def asymptotic_r2(alpha, snr):

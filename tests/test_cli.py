@@ -139,6 +139,19 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "command", [["fit", "--out", "model.csv"], ["snr"]], ids=["fit", "snr"]
+)
+@pytest.mark.parametrize("token", ["inf", "1e400"])
+def test_nonfinite_observed_value_exit_code(tmp_path, monkeypatch, capsys, token, command):
+    monkeypatch.chdir(tmp_path)
+    p = tmp_path / "nonfinite.csv"
+    p.write_text(f"1.0,2.0,3.0\n4.0,{token},6.0\n7.0,8.0,10.0\n1.5,2.5,3.5\n")
+    code = cli_main(command + ["--k", "1", "--in", str(p)])
+    assert code == 1
+    assert "finite" in capsys.readouterr().err
+
+
 EXPERIMENT_CONFIG = """
 [experiment]
 sweep_kind = missing_rate

@@ -76,17 +76,23 @@ def test_missing_sweep_record_counts():
     assert not result.failures
 
 
-def test_missing_sweep_reproducible():
-    a = run_missing_rate_sweep(small_config())
-    b = run_missing_rate_sweep(small_config())
+@pytest.mark.parametrize(
+    "run,overrides",
+    [
+        (run_missing_rate_sweep, {}),
+        (
+            run_snr_sweep,
+            dict(sweep_kind="snr_via_added_noise", grid=(0.0, 0.05, 0.2),
+                 fixed_missing_rate=0.3),
+        ),
+    ],
+    ids=["missing_rate", "snr_via_added_noise"],
+)
+def test_sweep_reproducible(run, overrides):
+    a = run(small_config(**overrides))
+    b = run(small_config(**overrides))
     assert list(a) == list(b)
-
-
-def test_missing_sweep_parallel_matches_serial(monkeypatch):
-    serial = run_missing_rate_sweep(small_config())
-    monkeypatch.setenv("SPIKED_PCA_THREADS", "4")
-    parallel = run_missing_rate_sweep(small_config())
-    assert list(serial) == list(parallel)
+    assert a.failures == b.failures
 
 
 def test_missing_sweep_theory_attached():

@@ -98,6 +98,17 @@ def test_center_rejects_fully_missing_column():
     assert "column 1" in str(err.value)
 
 
+def test_center_rejects_nonfinite_observed_values():
+    values = np.array([[1.0, np.inf], [2.0, 3.0], [np.nan, 4.0]])
+    mask = np.ones((3, 2), dtype=bool)
+    with pytest.raises(DomainError):
+        center_observed(MaskedMatrix(values, mask))
+    # values at unobserved positions are never read
+    mask[0, 1] = mask[2, 0] = False
+    _, mean = center_observed(MaskedMatrix(values, mask))
+    assert np.array_equal(mean, [1.5, 3.5])
+
+
 def test_center_roundtrip_restores_observed_values():
     # integer-valued data with integer column means round-trips bit-exactly
     data = np.array([[1.0, 6.0], [3.0, 99.0], [5.0, 4.0], [7.0, 2.0]])

@@ -3,7 +3,6 @@ import pytest
 
 from spiked_pca import (
     DomainError,
-    TheoryPoint,
     asymptotic_r2,
     critical_alpha,
     critical_missing_rate,
@@ -124,10 +123,9 @@ def test_theory_point_invariants():
     for alpha in (0.1, 2.0 / 3.0, 5.0):
         for snr in (0.5, 5.0, 20.0):
             for m in (0.0, 0.5, 0.9):
-                p = TheoryPoint.evaluate(alpha, snr, m)
-                assert p.effective_snr == (1.0 - m) * snr
-                assert 0.0 <= p.predicted_r2 < 1.0
-                assert (p.predicted_r2 == 0.0) == (alpha * p.effective_snr**2 <= 1.0)
+                r2 = theory_r2_missing(alpha, snr, m)
+                assert 0.0 <= r2 < 1.0
+                assert (r2 == 0.0) == (alpha * ((1.0 - m) * snr) ** 2 <= 1.0)
 
 
 @pytest.mark.parametrize(
