@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, DomainError
+from .errors import DegenerateSpectrumError, DomainError, NumericalError
 from .masked import MaskedMatrix
 
 
@@ -69,10 +69,17 @@ def covariance_eigenvalues(x):
     if not np.isfinite(x).all():
         raise DomainError("input matrix must be finite")
     n, d = x.shape
-    centered = x - x.mean(axis=0)
-    s = np.linalg.svd(centered, compute_uv=False)
     lam = np.zeros(d)
-    lam[: s.size] = s ** 2 / n
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = x - x.mean(axis=0)
+        # the sum is non-finite if an entry is, and overflows only where
+        # the squared singular values would too; it needs no N x D mask
+        if not math.isfinite(centered.sum()):
+            raise NumericalError("centered data not finite: the data overflow")
+        s = np.linalg.svd(centered, compute_uv=False)
+        lam[: s.size] = s ** 2 / n
+    if not np.isfinite(lam).all():
+        raise NumericalError("covariance eigenvalues not finite: the data overflow")
     return lam
 
 

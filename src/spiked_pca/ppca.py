@@ -61,11 +61,6 @@ class PpcaModel:
     n_skipped_rows: int
 
 
-def _cho_solve(chol, rhs):
-    # two triangular solves against stacked Cholesky factors
-    return np.linalg.solve(np.swapaxes(chol, -1, -2), np.linalg.solve(chol, rhs))
-
-
 def fit_ppca(x, opts):
     """Fit probabilistic PCA to a masked matrix by EM.
 
@@ -112,22 +107,22 @@ def fit_ppca(x, opts):
     sigma2 = max(vbar / 2.0, SIGMA2_FLOOR)
 
     eye = np.eye(k)
-    eye_batch = np.broadcast_to(eye, (n, k, k))
     log2pi = math.log(2.0 * math.pi)
 
     def estep(A, sigma2, iteration):
         # per-sample posterior precision M_n = A_n^T A_n + sigma2 I, built
         # from the mask-weighted sum of per-feature outer products
-        T = A[:, :, None] * A[:, None, :]
-        M = np.tensordot(W, T, axes=([1], [0])) + sigma2 * eye
+        T = (A[:, :, None] * A[:, None, :]).reshape(d, k * k)
+        M = (W @ T).reshape(n, k, k) + sigma2 * eye
         try:
-            L = np.linalg.cholesky(M)
+            L = np.linalg.cholesky(M)  # also the positive-definiteness check
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 f"E-step factorization failed at iteration {iteration}"
             ) from exc
+        Minv = np.linalg.inv(M)
         B = Y @ A  # rows are A_n^T y_n (the mask is already folded into Y)
-        Z = _cho_solve(L, B[:, :, None])[:, :, 0]
+        Z = (Minv @ B[:, :, None])[:, :, 0]
         logdet_m = 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
         quad = yy_row - (B * Z).sum(axis=1)  # y^T y - b^T M^{-1} b
         ll = -0.5 * (
@@ -138,7 +133,7 @@ def fit_ppca(x, opts):
         )
         if not math.isfinite(ll):
             raise NumericalError(f"log-likelihood non-finite at iteration {iteration}")
-        return L, Z, float(ll)
+        return Minv, Z, float(ll)
 
     history = []
     converged = False
@@ -146,7 +141,7 @@ def fit_ppca(x, opts):
     ll = ll_prev = None
     streak = 0
     for it in range(opts.max_iterations):
-        L, Z, ll = estep(A, sigma2, it)
+        Minv, Z, ll = estep(A, sigma2, it)
         history.append(ll)
         if ll_prev is not None:
             rel = (ll - ll_prev) / abs(ll_prev)
@@ -157,21 +152,21 @@ def fit_ppca(x, opts):
                 break
         ll_prev = ll
 
-        Ezz = sigma2 * _cho_solve(L, eye_batch) + Z[:, :, None] * Z[:, None, :]
+        Ezz = sigma2 * Minv + Z[:, :, None] * Z[:, None, :]
 
         # M-step: each loading row solves sum_n w (z z^T) a_d = sum_n w y z
         S1 = Y.T @ Z
-        S2 = np.tensordot(W.T, Ezz, axes=([1], [0]))
+        S2 = (W.T @ Ezz.reshape(n, k * k)).reshape(d, k, k)
         try:
-            L2 = np.linalg.cholesky(S2)
+            A = np.linalg.solve(S2, S1[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 f"M-step factorization failed at iteration {it}"
             ) from exc
-        A = _cho_solve(L2, S1[:, :, None])[:, :, 0]
 
-        # pooled noise variance over all observed entries, floored
-        cross = float((Z * (Y @ A)).sum())
+        # pooled noise variance over all observed entries, floored;
+        # sum(A * S1) equals sum_n z_n^T A^T y_n
+        cross = float((A * S1).sum())
         tr = float((S2 * (A[:, :, None] * A[:, None, :])).sum())
         sigma2 = max((sum_yy - 2.0 * cross + tr) / total_obs, SIGMA2_FLOOR)
         n_iter = it + 1

@@ -140,6 +140,42 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "rows",
+    [
+        ["1e308,1e308,1e308", "-1e308,-1e308,-1e308", "1e308,1e308,1e308", "1e308,-1e308,1e308"],
+        ["1e200,0,0", "-1e200,1,0", "0,0,1", "2,3,4"],
+    ],
+    ids=["column_sums", "eigenvalues"],
+)
+def test_snr_overflow_exit_code(tmp_path, capsys, rows):
+    p = tmp_path / "huge.csv"
+    p.write_text("\n".join(rows) + "\n")
+    code = cli_main(["snr", "--k", "1", "--in", str(p)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "overflow" in captured.err
+    assert "nan" not in captured.out
+
+
+@pytest.mark.parametrize("step, routine", [("E-step", "cholesky"), ("M-step", "solve")])
+def test_factorization_failure_exit_code(tmp_path, monkeypatch, capsys, step, routine):
+    data_path = str(tmp_path / "data.csv")
+    cli_main(
+        ["generate", "--n", "40", "--d", "10", "--norms", "1.0",
+         "--noise-var", "0.1", "--seed", "5", "--out", data_path]
+    )
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("injected")
+
+    monkeypatch.setattr(np.linalg, routine, fail)
+    code = cli_main(["fit", "--k", "1", "--in", data_path,
+                     "--out", str(tmp_path / "model.csv")])
+    assert code == 2
+    assert f"{step} factorization failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "command", [["fit", "--out", "model.csv"], ["snr"]], ids=["fit", "snr"]
 )
 @pytest.mark.parametrize("token", ["inf", "1e400"])

@@ -6,6 +6,7 @@ from spiked_pca import (
     DomainError,
     FitOptions,
     MaskedMatrix,
+    NumericalError,
     apply_mcar_mask,
     covariance_eigenvalues,
     extract_directions,
@@ -120,6 +121,86 @@ def test_fully_missing_rows_are_skipped_and_counted():
     assert r_squared(
         extract_directions(model)[:, 0], extract_directions(model_dropped)[:, 0]
     ) >= 1.0 - 1e-9
+
+
+def reference_em(x, k, seed, iterations):
+    """Observed-entry PPCA EM written one sample and one feature at a time.
+
+    Starts from the start documented in fit_ppca and returns the loadings,
+    the noise variance and the log-likelihood before every iteration and
+    after the last one, each computed from the |O| x |O| covariance of a
+    sample's observed entries.
+    """
+    n, d = x.values.shape
+    mask = x.mask
+    mean = np.array([x.values[mask[:, j], j].mean() for j in range(d)])
+    Y = np.where(mask, x.values - mean, 0.0)
+    obs = [np.flatnonzero(mask[i]) for i in range(n)]
+    total_obs = mask.sum()
+    vbar = np.mean([(Y[:, j] ** 2).sum() / mask[:, j].sum() for j in range(d)])
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((d, k)) * np.sqrt(max(vbar, 1e-12) / np.sqrt(k * d))
+    sigma2 = max(vbar / 2.0, 1e-12)
+
+    def loglik(A, sigma2):
+        ll = 0.0
+        for i, o in enumerate(obs):
+            if o.size:
+                C = A[o] @ A[o].T + sigma2 * np.eye(o.size)
+                y = Y[i, o]
+                ll -= 0.5 * (o.size * np.log(2 * np.pi) + np.linalg.slogdet(C)[1]
+                             + y @ np.linalg.solve(C, y))
+        return ll
+
+    history = []
+    for _ in range(iterations):
+        history.append(loglik(A, sigma2))
+        z = np.zeros((n, k))
+        zz = np.zeros((n, k, k))
+        for i, o in enumerate(obs):
+            if o.size:
+                M = A[o].T @ A[o] + sigma2 * np.eye(k)
+                z[i] = np.linalg.solve(M, A[o].T @ Y[i, o])
+                zz[i] = sigma2 * np.linalg.solve(M, np.eye(k)) + np.outer(z[i], z[i])
+        A_new = np.zeros((d, k))
+        for j in range(d):
+            rows = mask[:, j]
+            A_new[j] = np.linalg.solve(zz[rows].sum(axis=0), Y[rows, j] @ z[rows])
+        resid = 0.0
+        for i, o in enumerate(obs):
+            for j in o:
+                a = A_new[j]
+                resid += Y[i, j] ** 2 - 2.0 * Y[i, j] * (a @ z[i]) + a @ zz[i] @ a
+        A, sigma2 = A_new, max(resid / total_obs, 1e-12)
+    history.append(loglik(A, sigma2))
+    return A, sigma2, np.array(history)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_fit_matches_per_row_reference_em(k):
+    gt, data = spiked(d=8, n=30, snr=6.0, k=k, seed=90)
+    mask = apply_mcar_mask(data, 0.3, seed=91).mask.copy()
+    mask[5] = False
+    x = MaskedMatrix(data, mask)
+    model = fit_ppca(x, FitOptions(k=k, seed=92, max_iterations=4))
+    A, sigma2, history = reference_em(x, k, seed=92, iterations=4)
+    assert model.n_iterations == 4 and not model.converged
+    assert model.n_skipped_rows == 1
+    np.testing.assert_allclose(model.loadings, A, rtol=1e-10)
+    assert model.noise_variance == pytest.approx(sigma2, rel=1e-10)
+    np.testing.assert_allclose(model.loglik_history, history, rtol=1e-10)
+
+
+@pytest.mark.parametrize("step, routine", [("E-step", "cholesky"), ("M-step", "solve")])
+def test_factorization_failure_raises_numerical_error(monkeypatch, step, routine):
+    gt, data = spiked(d=10, n=40, snr=10.0, seed=95)
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("injected")
+
+    monkeypatch.setattr(np.linalg, routine, fail)
+    with pytest.raises(NumericalError, match=f"{step} factorization failed at iteration 0"):
+        fit_ppca(MaskedMatrix.complete(data), FitOptions(k=1))
 
 
 def test_extract_directions_diagonal_case():
