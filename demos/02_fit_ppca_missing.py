@@ -38,7 +38,7 @@ masked = apply_mcar_mask(data, m=0.4, seed=3)
 print(f"masked at m=0.4: observed fraction = {observed_fraction(masked):.4f}")
 
 model = fit_ppca(masked, FitOptions(k=2, seed=4))
-print(f"EM finished after {model.n_iterations} iterations "
+print(f"EM finished after {model.n_iterations} EM steps "
       f"(converged={model.converged}), sigma^2 hat = {model.noise_variance:.4f}")
 
 directions = extract_directions(model)
@@ -53,7 +53,7 @@ v = top_eigvec_complete(data, 2)
 overlap = np.linalg.svd(u.T @ v, compute_uv=False) ** 2
 print(f"complete-data check, EM vs eigenvectors, squared overlaps: {np.round(overlap, 6)}")
 
-# the monotone log-likelihood trail is kept on the model
+# the monotone log-likelihood trail of the accepted points is kept on the model
 h = model.loglik_history
 print(f"log-likelihood climbed from {h[0]:.1f} to {h[-1]:.1f} "
-      f"({len(h)} evaluations, min step {np.diff(h).min():.2e})")
+      f"({len(h)} accepted points, min step {np.diff(h).min():.2e})")

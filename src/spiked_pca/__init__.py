@@ -20,6 +20,7 @@ from .experiment import (
     CurveRecord,
     ExperimentConfig,
     SweepResult,
+    UnconvergedCell,
     compare_hypotheses,
     derive_cell_seed,
     run_missing_rate_sweep,
@@ -80,6 +81,7 @@ __all__ = [
     "SnrEstimate",
     "SpikedPcaError",
     "SweepResult",
+    "UnconvergedCell",
     "add_isotropic_noise",
     "apply_mcar_mask",
     "asymptotic_r2",

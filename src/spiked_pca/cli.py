@@ -142,6 +142,13 @@ def _cmd_experiment(args):
             f"sweep value {failure.sweep_value}: {failure.error}",
             file=sys.stderr,
         )
+    for cell in result.unconverged:
+        print(
+            f"unconverged cell: repetition {cell.repetition}, "
+            f"sweep value {cell.sweep_value}: stopped at max_iterations "
+            f"({cfg.fit.max_iterations})",
+            file=sys.stderr,
+        )
     if summary:
         print(summary)
     return 0

@@ -116,12 +116,25 @@ class CellFailure:
     error: str
 
 
-class SweepResult(tuple):
-    """A sequence of CurveRecords that also reports failed cells."""
+@dataclass(frozen=True)
+class UnconvergedCell:
+    """One (repetition, grid cell) fit that hit ``max_iterations``.
 
-    def __new__(cls, records, failures=()):
+    Its R^2 still enters the cell's aggregate; the flag says so.
+    """
+
+    repetition: int
+    cell_index: int
+    sweep_value: float
+
+
+class SweepResult(tuple):
+    """A sequence of CurveRecords that also reports failed and unconverged cells."""
+
+    def __new__(cls, records, failures=(), unconverged=()):
         self = super().__new__(cls, tuple(records))
         self.failures = tuple(failures)
+        self.unconverged = tuple(unconverged)
         return self
 
     @property
@@ -138,9 +151,10 @@ def _run_lattice(cfg, prepare, perturb, cell_point):
     ``cell_point(gt, value)`` returns the cell's recorded sweep values, its
     per-component signal-to-noise vector S and its missing rate m, from
     which both theory columns follow. A fit that raises becomes a
-    CellFailure on the result; each cell with at least one surviving fit
-    is summarized by the sample mean and, for two or more surviving
-    repetitions, the sample standard deviation.
+    CellFailure on the result; a fit that stops unconverged keeps its R^2
+    and is flagged as an UnconvergedCell. Each cell with at least one
+    surviving fit is summarized by the sample mean and, for two or more
+    surviving repetitions, the sample standard deviation.
     """
     alpha = cfg.n / cfg.d
     gt = make_ground_truth(
@@ -151,6 +165,7 @@ def _run_lattice(cfg, prepare, perturb, cell_point):
     )
     per_cell = [[] for _ in cfg.grid]
     failures = []
+    unconverged = []
     for rep in range(cfg.repetitions):
         data = sample_dataset(
             gt, cfg.n, derive_cell_seed(cfg.base_seed, rep, 0, STREAM_DATASET)
@@ -166,6 +181,9 @@ def _run_lattice(cfg, prepare, perturb, cell_point):
                 per_cell[ci].append(component_r2(extract_directions(model), gt))
             except SpikedPcaError as exc:
                 failures.append(CellFailure(rep, ci, value, str(exc)))
+                continue
+            if not model.converged:
+                unconverged.append(UnconvergedCell(rep, ci, value))
 
     records = []
     for value, got in zip(cfg.grid, per_cell):
@@ -185,7 +203,7 @@ def _run_lattice(cfg, prepare, perturb, cell_point):
                     theory_alt_r2=theory_r2_effective_sample(alpha, snrs[comp], m),
                 )
             )
-    return SweepResult(records, failures)
+    return SweepResult(records, failures, unconverged)
 
 
 def run_missing_rate_sweep(cfg):

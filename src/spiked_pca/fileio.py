@@ -103,10 +103,16 @@ def read_masked_csv(file):
 
 
 def write_masked_csv(x, file):
-    """Write a MaskedMatrix; unobserved entries become the missing token."""
+    """Write a MaskedMatrix; unobserved entries become the missing token.
+
+    With ``file.header`` the first line names the columns ``x1 .. xD``.
+    """
     if not isinstance(file, MatrixFile):
         file = MatrixFile(str(file))
     with open(file.path, "w", newline="\n") as handle:
+        if file.header:
+            names = (f"x{j}" for j in range(1, x.n_cols + 1))
+            handle.write(file.delimiter.join(names) + "\n")
         for row_values, row_mask in zip(x.values, x.mask):
             cells = [
                 _fmt(v) if ok else file.missing_token

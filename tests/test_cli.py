@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from spiked_pca import read_masked_csv
+from spiked_pca import (
+    read_experiment_config,
+    read_masked_csv,
+    run_missing_rate_sweep,
+    write_curve_csv,
+)
 from spiked_pca.cli import cli_main
 
 
@@ -220,3 +225,18 @@ def test_experiment_end_to_end(tmp_path, capsys):
     assert cli_main(["experiment", "--config", str(cfg), "--out", out2,
                      "--compare-hypotheses", "--min-m", "0.0"]) == 0
     assert (tmp_path / "curve1.csv").read_bytes() == (tmp_path / "curve2.csv").read_bytes()
+
+
+def test_experiment_reports_unconverged_cells(tmp_path, capsys):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(EXPERIMENT_CONFIG.replace("max_iterations = 300", "max_iterations = 2"))
+    out = tmp_path / "curve.csv"
+    assert cli_main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 * 3  # two repetitions x three grid values
+    assert all(line.startswith("unconverged cell: repetition ") for line in err)
+    assert "sweep value 0.8: stopped at max_iterations (2)" in err[-1]
+    # the flags go to stderr only; the curve CSV is the library's
+    expected = tmp_path / "expected.csv"
+    write_curve_csv(run_missing_rate_sweep(read_experiment_config(str(cfg))), str(expected))
+    assert out.read_bytes() == expected.read_bytes()

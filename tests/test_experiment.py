@@ -74,6 +74,19 @@ def test_missing_sweep_record_counts():
     assert all(r.n_reps == 3 for r in result)
     assert all(0.0 <= r.r2_mean <= 1.0 and r.r2_std >= 0.0 for r in result)
     assert not result.failures
+    assert not result.unconverged
+
+
+def test_missing_sweep_flags_unconverged_cells():
+    cfg = small_config(fit=FitOptions(k=2, max_iterations=2))
+    result = run_missing_rate_sweep(cfg)
+    assert not result.failures
+    # every fit hits the cap; each is flagged and still averaged in
+    flagged = [(u.repetition, u.cell_index, u.sweep_value) for u in result.unconverged]
+    assert flagged == [
+        (rep, ci, value) for rep in range(3) for ci, value in enumerate(cfg.grid)
+    ]
+    assert len(result) == 10 and all(r.n_reps == 3 for r in result)
 
 
 @pytest.mark.parametrize(
@@ -93,6 +106,7 @@ def test_sweep_reproducible(run, overrides):
     b = run(small_config(**overrides))
     assert list(a) == list(b)
     assert a.failures == b.failures
+    assert a.unconverged == b.unconverged
 
 
 def test_missing_sweep_theory_attached():

@@ -85,6 +85,20 @@ def test_masked_roundtrip(tmp_path):
     assert np.allclose(y.values[y.mask], x.values[x.mask], rtol=1e-5)
 
 
+def test_masked_roundtrip_with_header(tmp_path):
+    values = np.arange(12.0).reshape(4, 3) + 0.5
+    mask = np.ones((4, 3), dtype=bool)
+    mask[0, 1] = mask[3, 2] = False
+    file = MatrixFile(str(tmp_path / "h.csv"), delimiter=";", missing_token="NA", header=True)
+    write_masked_csv(MaskedMatrix(values, mask), file)
+    lines = (tmp_path / "h.csv").read_text().splitlines()
+    assert lines[:2] == ["x1;x2;x3", "0.5;NA;2.5"]
+    y = read_masked_csv(file)
+    assert y.n_rows == 4
+    assert np.array_equal(y.mask, mask)
+    assert np.array_equal(y.values[mask], values[mask])
+
+
 def make_records(n, m_values=None):
     out = []
     for i in range(n):

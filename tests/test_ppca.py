@@ -16,6 +16,8 @@ from spiked_pca import (
     sample_dataset,
     top_eigvec_complete,
 )
+from spiked_pca.masked import center_observed
+from spiked_pca.ppca import _extrapolate, _ObservedEm
 
 
 def spiked(d, n, snr, sigma2=0.1, k=1, seed=0):
@@ -69,6 +71,28 @@ def test_fit_options_validation():
     ):
         with pytest.raises(DomainError):
             FitOptions(**bad)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        pytest.param(dict(k=1, rel_tolerance=float("inf")), id="rel_tolerance-inf"),
+        pytest.param(dict(k=1, rel_tolerance=float("nan")), id="rel_tolerance-nan"),
+        pytest.param(dict(k=1, rel_tolerance="1e-7"), id="rel_tolerance-str"),
+        pytest.param(dict(k=1.5), id="k-float"),
+        pytest.param(dict(k=True), id="k-bool"),
+        pytest.param(dict(k=1, max_iterations=10.0), id="max_iterations-float"),
+        pytest.param(dict(k=1, tolerance_streak="3"), id="tolerance_streak-str"),
+    ],
+)
+def test_fit_options_rejects_nonfinite_tolerance_and_noninteger_counts(bad):
+    with pytest.raises(DomainError):
+        FitOptions(**bad)
+
+
+def test_fit_options_accept_numpy_integers():
+    opts = FitOptions(k=np.int64(2), max_iterations=np.int32(5), tolerance_streak=np.int64(1))
+    assert (opts.k, opts.max_iterations, opts.tolerance_streak) == (2, 5, 1)
 
 
 def test_fit_deterministic():
@@ -176,19 +200,95 @@ def reference_em(x, k, seed, iterations):
     return A, sigma2, np.array(history)
 
 
-@pytest.mark.parametrize("k", [1, 2])
-def test_fit_matches_per_row_reference_em(k):
+def reference_data(k):
+    # 30 x 8 at m = 0.3 with one fully missing row
     gt, data = spiked(d=8, n=30, snr=6.0, k=k, seed=90)
     mask = apply_mcar_mask(data, 0.3, seed=91).mask.copy()
     mask[5] = False
-    x = MaskedMatrix(data, mask)
-    model = fit_ppca(x, FitOptions(k=k, seed=92, max_iterations=4))
+    return MaskedMatrix(data, mask)
+
+
+def em_path(x, k, seed, steps):
+    """fit_ppca's random start followed by ``steps`` plain EM steps."""
+    em = _ObservedEm(center_observed(x)[0])
+    path = [em.start(k, seed)]
+    for it in range(steps):
+        path.append(em.step(path[-1], it))
+    return em, path
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_fit_matches_per_row_reference_em(k):
+    x = reference_data(k)
+    em, path = em_path(x, k, seed=92, steps=4)
     A, sigma2, history = reference_em(x, k, seed=92, iterations=4)
-    assert model.n_iterations == 4 and not model.converged
-    assert model.n_skipped_rows == 1
-    np.testing.assert_allclose(model.loadings, A, rtol=1e-10)
-    assert model.noise_variance == pytest.approx(sigma2, rel=1e-10)
-    np.testing.assert_allclose(model.loglik_history, history, rtol=1e-10)
+    assert em.n_skipped == 1
+    np.testing.assert_allclose(path[-1].A, A, rtol=1e-10)
+    assert path[-1].sigma2 == pytest.approx(sigma2, rel=1e-10)
+    np.testing.assert_allclose([p.ll for p in path], history, rtol=1e-10)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_fit_reaches_reference_em_fixed_point(k):
+    # the plain reference EM settles to machine precision within ~60 steps
+    x = reference_data(k)
+    A, sigma2, history = reference_em(x, k, seed=92, iterations=100)
+    opts = FitOptions(k=k, seed=92, rel_tolerance=1e-12, max_iterations=10_000)
+    model = fit_ppca(x, opts)
+    assert model.converged and model.n_skipped_rows == 1
+    assert model.noise_variance == pytest.approx(sigma2, rel=1e-6)
+    assert subspace_r2(extract_directions(model), extract_directions(A)) >= 1.0 - 1e-8
+    # not below the reference, up to rounding of the log-likelihood sum
+    assert model.log_likelihood >= history[-1] - 1e-12 * abs(history[-1])
+
+
+def test_rejected_extrapolation_keeps_plain_em_point():
+    # at this start the first extrapolated point has a lower log-likelihood
+    # than the second EM step, so the first cycle must keep that EM step
+    x = reference_data(2)
+    em, (p0, p1, p2) = em_path(x, 2, seed=99, steps=2)
+    A, sigma2 = _extrapolate(p0, p1, p2)
+    assert sigma2 > 1e-12 and em.estep(A, sigma2, 2).ll < p2.ll
+    capped = fit_ppca(x, FitOptions(k=2, seed=99, max_iterations=2))
+    assert np.array_equal(capped.loadings, p2.A)
+    assert capped.noise_variance == p2.sigma2
+    assert capped.loglik_history.tolist() == [p0.ll, p2.ll]
+    h = fit_ppca(x, FitOptions(k=2, seed=99)).loglik_history
+    assert (np.diff(h) / np.abs(h[:-1])).min() >= -1e-12
+
+
+def test_failed_extrapolation_estep_keeps_plain_em_point(monkeypatch):
+    # E-steps of one cycle: the start, two EM steps, then the extrapolated point
+    x = reference_data(2)
+    _, (p0, _, p2) = em_path(x, 2, seed=92, steps=2)
+    opts = FitOptions(k=2, seed=92, max_iterations=2)
+    assert not np.array_equal(fit_ppca(x, opts).loadings, p2.A)  # accepted unless forced
+    cholesky = np.linalg.cholesky
+    calls = []
+
+    def fail_fourth(m):
+        calls.append(m)
+        if len(calls) == 4:
+            raise np.linalg.LinAlgError("injected")
+        return cholesky(m)
+
+    monkeypatch.setattr(np.linalg, "cholesky", fail_fourth)
+    model = fit_ppca(x, opts)
+    assert len(calls) == 4
+    assert np.array_equal(model.loadings, p2.A)
+    assert model.loglik_history.tolist() == [p0.ll, p2.ll]
+
+
+@pytest.mark.parametrize("max_iterations", [1, 2, 5])
+def test_capped_fit_reports_unconverged(max_iterations):
+    gt, data = spiked(d=40, n=100, snr=10.0, seed=30)
+    x = apply_mcar_mask(data, 0.5, seed=5)
+    model = fit_ppca(x, FitOptions(k=1, seed=7, max_iterations=max_iterations))
+    assert model.n_iterations <= max_iterations
+    assert not model.converged
+    # one history entry for the start and one per cycle of at most two steps
+    assert model.loglik_history.size == 1 + (max_iterations + 1) // 2
+    assert model.log_likelihood == model.loglik_history[-1]
 
 
 @pytest.mark.parametrize("step, routine", [("E-step", "cholesky"), ("M-step", "solve")])
