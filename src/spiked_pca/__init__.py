@@ -16,11 +16,10 @@ from .errors import (
     SpikedPcaError,
 )
 from .experiment import (
-    CellFailure,
+    CellResult,
     CurveRecord,
     ExperimentConfig,
     SweepResult,
-    UnconvergedCell,
     compare_hypotheses,
     derive_cell_seed,
     run_missing_rate_sweep,
@@ -65,7 +64,7 @@ from .theory import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CellFailure",
+    "CellResult",
     "CurveRecord",
     "DegenerateColumnError",
     "DegenerateSpectrumError",
@@ -81,7 +80,6 @@ __all__ = [
     "SnrEstimate",
     "SpikedPcaError",
     "SweepResult",
-    "UnconvergedCell",
     "add_isotropic_noise",
     "apply_mcar_mask",
     "asymptotic_r2",

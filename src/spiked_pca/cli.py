@@ -136,19 +136,15 @@ def _cmd_experiment(args):
         )
     write_curve_csv(result, args.out, summary=summary)
     print(f"wrote {len(result)} records to {args.out}")
-    for failure in result.failures:
-        print(
-            f"failed cell: repetition {failure.repetition}, "
-            f"sweep value {failure.sweep_value}: {failure.error}",
-            file=sys.stderr,
-        )
-    for cell in result.unconverged:
-        print(
-            f"unconverged cell: repetition {cell.repetition}, "
-            f"sweep value {cell.sweep_value}: stopped at max_iterations "
-            f"({cfg.fit.max_iterations})",
-            file=sys.stderr,
-        )
+    cap = f"stopped at max_iterations ({cfg.fit.max_iterations})"
+    for cell in result.cells:
+        if cell.error or not cell.converged:
+            print(
+                f"{'failed' if cell.error else 'unconverged'} cell: "
+                f"repetition {cell.repetition}, "
+                f"sweep value {cell.sweep_value}: {cell.error or cap}",
+                file=sys.stderr,
+            )
     if summary:
         print(summary)
     return 0

@@ -107,39 +107,43 @@ class CurveRecord:
 
 
 @dataclass(frozen=True)
-class CellFailure:
-    """One (repetition, grid cell) fit that errored instead of producing R^2."""
+class CellResult:
+    """One (repetition, grid cell) fit: its per-component R^2 or its error.
 
-    repetition: int
-    cell_index: int
-    sweep_value: float
-    error: str
-
-
-@dataclass(frozen=True)
-class UnconvergedCell:
-    """One (repetition, grid cell) fit that hit ``max_iterations``.
-
-    Its R^2 still enters the cell's aggregate; the flag says so.
+    ``r2`` is empty and ``error`` nonempty exactly when the fit raised. A
+    fit with ``converged`` False stopped at ``max_iterations``; its R^2
+    still enters the cell's aggregate.
     """
 
     repetition: int
     cell_index: int
     sweep_value: float
+    r2: tuple
+    converged: bool
+    error: str
 
 
-class SweepResult(tuple):
-    """A sequence of CurveRecords that also reports failed and unconverged cells."""
+@dataclass(frozen=True)
+class SweepResult:
+    """CurveRecords (what iteration and ``len`` see) plus one CellResult per
+    fit in lattice order, of which ``failures`` and ``unconverged`` are views."""
 
-    def __new__(cls, records, failures=(), unconverged=()):
-        self = super().__new__(cls, tuple(records))
-        self.failures = tuple(failures)
-        self.unconverged = tuple(unconverged)
-        return self
+    records: tuple
+    cells: tuple
+
+    def __iter__(self):
+        return iter(self.records)
+
+    def __len__(self):
+        return len(self.records)
 
     @property
-    def records(self):
-        return tuple(self)
+    def failures(self):
+        return tuple(c for c in self.cells if c.error)
+
+    @property
+    def unconverged(self):
+        return tuple(c for c in self.cells if not (c.error or c.converged))
 
 
 def _run_lattice(cfg, prepare, perturb, cell_point):
@@ -150,11 +154,10 @@ def _run_lattice(cfg, prepare, perturb, cell_point):
     ci, value)`` gives the matrix fitted at grid cell ``ci`` and
     ``cell_point(gt, value)`` returns the cell's recorded sweep values, its
     per-component signal-to-noise vector S and its missing rate m, from
-    which both theory columns follow. A fit that raises becomes a
-    CellFailure on the result; a fit that stops unconverged keeps its R^2
-    and is flagged as an UnconvergedCell. Each cell with at least one
-    surviving fit is summarized by the sample mean and, for two or more
-    surviving repetitions, the sample standard deviation.
+    which both theory columns follow. Every fit becomes one CellResult; a
+    fit that raises keeps its message and no R^2. Each grid cell with at
+    least one surviving fit is summarized by the sample mean and, for two
+    or more surviving repetitions, the sample standard deviation.
     """
     alpha = cfg.n / cfg.d
     gt = make_ground_truth(
@@ -163,9 +166,7 @@ def _run_lattice(cfg, prepare, perturb, cell_point):
         cfg.noise_variance,
         seed=derive_cell_seed(cfg.base_seed, 0, 0, STREAM_GROUND_TRUTH),
     )
-    per_cell = [[] for _ in cfg.grid]
-    failures = []
-    unconverged = []
+    cells = []
     for rep in range(cfg.repetitions):
         data = sample_dataset(
             gt, cfg.n, derive_cell_seed(cfg.base_seed, rep, 0, STREAM_DATASET)
@@ -178,15 +179,15 @@ def _run_lattice(cfg, prepare, perturb, cell_point):
             )
             try:
                 model = fit_ppca(x, opts)
-                per_cell[ci].append(component_r2(extract_directions(model), gt))
+                r2 = tuple(component_r2(extract_directions(model), gt).tolist())
+                cell = CellResult(rep, ci, value, r2, model.converged, "")
             except SpikedPcaError as exc:
-                failures.append(CellFailure(rep, ci, value, str(exc)))
-                continue
-            if not model.converged:
-                unconverged.append(UnconvergedCell(rep, ci, value))
+                cell = CellResult(rep, ci, value, (), False, str(exc))
+            cells.append(cell)
 
     records = []
-    for value, got in zip(cfg.grid, per_cell):
+    for ci, value in enumerate(cfg.grid):
+        got = [c.r2 for c in cells if c.cell_index == ci and not c.error]
         if not got:
             continue
         sweep_values, snrs, m = cell_point(gt, value)
@@ -203,7 +204,7 @@ def _run_lattice(cfg, prepare, perturb, cell_point):
                     theory_alt_r2=theory_r2_effective_sample(alpha, snrs[comp], m),
                 )
             )
-    return SweepResult(records, failures, unconverged)
+    return SweepResult(tuple(records), tuple(cells))
 
 
 def run_missing_rate_sweep(cfg):
@@ -241,8 +242,8 @@ def run_snr_sweep(cfg):
     """
     if cfg.sweep_kind != "snr_via_added_noise":
         raise DomainError(f"config is for sweep kind {cfg.sweep_kind!r}")
-    if any(g < 0 for g in cfg.grid):
-        raise DomainError("added-noise grid must be nonnegative")
+    if any(not 0.0 <= g < math.inf for g in cfg.grid):
+        raise DomainError("added-noise grid must be finite and nonnegative")
     m = cfg.fixed_missing_rate
 
     def mask_once(data, rep):

@@ -73,6 +73,8 @@ def read_masked_csv(file):
         for line_no, row in enumerate(reader, start=1):
             if file.header and line_no == 1:
                 continue
+            # a one-column row whose entry is missing is written as a blank line
+            row = row or [""]
             if width is None:
                 width = len(row)
             elif len(row) != width:
@@ -97,7 +99,7 @@ def read_masked_csv(file):
                 row_mask.append(True)
             values.append(row_values)
             mask.append(row_mask)
-    if not values or width == 0:
+    if not values:
         raise FormatError(f"{file.path}: no data")
     return MaskedMatrix(np.array(values), np.array(mask, dtype=bool))
 

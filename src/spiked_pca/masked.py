@@ -5,6 +5,7 @@ inside the value array; external formats that use sentinels (empty CSV
 cells, NaN tokens) are converted at the I/O boundary.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +69,8 @@ def apply_mcar_mask(data, m, seed):
         raise DomainError(f"expected a 2-d matrix, got ndim={data.ndim}")
     if not 0.0 <= m <= 1.0:
         raise DomainError(f"missing rate must lie in [0, 1], got {m}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
     if not np.all(np.isfinite(data)):
         raise DomainError("input matrix must be finite")
     rng = np.random.default_rng(seed)

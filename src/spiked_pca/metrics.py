@@ -119,8 +119,8 @@ def add_isotropic_noise(x, sigma2_added, seed):
     S_i = ||a_i||^2 / (sigma2 + sigma2_added), which is how a dataset's
     signal-to-noise ratio is swept downward.
     """
-    if sigma2_added < 0:
-        raise DomainError(f"added variance must be nonnegative, got {sigma2_added}")
+    if not 0 <= sigma2_added < math.inf:
+        raise DomainError(f"added variance must be finite and nonnegative, got {sigma2_added}")
     if sigma2_added == 0:
         return MaskedMatrix(x.values, x.mask)
     rng = np.random.default_rng(seed)

@@ -32,14 +32,13 @@ class FitOptions:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("k", "max_iterations", "tolerance_streak"):
+        lows = (("k", 1), ("max_iterations", 1), ("tolerance_streak", 1), ("seed", 0))
+        for name, low in lows:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise DomainError(f"{name} must be an integer, got {value!r}")
-        if self.k < 1:
-            raise DomainError(f"k must be >= 1, got {self.k}")
-        if self.max_iterations < 1:
-            raise DomainError(f"max_iterations must be >= 1, got {self.max_iterations}")
+            if value < low:
+                raise DomainError(f"{name} must be >= {low}, got {value}")
         if not (
             isinstance(self.rel_tolerance, numbers.Real)
             and 0 < self.rel_tolerance < math.inf
@@ -47,8 +46,6 @@ class FitOptions:
             raise DomainError(
                 f"rel_tolerance must be positive and finite, got {self.rel_tolerance!r}"
             )
-        if self.tolerance_streak < 1:
-            raise DomainError(f"tolerance_streak must be >= 1, got {self.tolerance_streak}")
 
 
 @dataclass(frozen=True)

@@ -52,11 +52,10 @@ class GroundTruth:
         return self.directions.shape[1]
 
 
-def make_ground_truth(d, norms, noise_variance, seed, orthogonal=True):
+def make_ground_truth(d, norms, noise_variance, seed):
     """Draw random signal directions with the requested norms.
 
-    Directions are isotropically distributed (normalized standard-normal
-    vectors). With ``orthogonal=True`` (the default) they are
+    Directions are isotropically distributed: standard-normal vectors,
     orthonormalized before rescaling, which keeps the per-component
     curves well defined. Norms are sorted descending.
     """
@@ -73,11 +72,8 @@ def make_ground_truth(d, norms, noise_variance, seed, orthogonal=True):
         raise DomainError(f"noise variance must be positive, got {noise_variance}")
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((int(d), k))
-    if orthogonal:
-        q, _ = np.linalg.qr(raw)
-        directions = q * norms
-    else:
-        directions = raw / np.linalg.norm(raw, axis=0) * norms
+    q, _ = np.linalg.qr(raw)
+    directions = q * norms
     snr = norms ** 2 / noise_variance
     return GroundTruth(directions, float(noise_variance), snr)
 

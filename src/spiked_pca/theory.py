@@ -19,14 +19,26 @@ import math
 from .errors import DomainError
 
 
-def _check_positive(name, value):
+def _positive(name, value):
+    value = float(value)
     if not value > 0:
         raise DomainError(f"{name} must be positive, got {value}")
+    return value
 
 
-def _check_rate(name, value):
+def _rate(name, value):
+    value = float(value)
     if not 0.0 <= value <= 1.0:
         raise DomainError(f"{name} must lie in [0, 1], got {value}")
+    return value
+
+
+def _r2(alpha, snr):
+    x = alpha * snr * snr
+    # at m = 1 an infinite alpha or snr meets a zero factor and x is nan
+    if not x >= 1.0:
+        return 0.0
+    return (x - 1.0) / (snr + x)
 
 
 def theory_r2_complete(alpha, snr):
@@ -34,14 +46,7 @@ def theory_r2_complete(alpha, snr):
 
     Zero below the transition alpha * snr^2 = 1, continuous at it.
     """
-    alpha = float(alpha)
-    snr = float(snr)
-    _check_positive("alpha", alpha)
-    _check_positive("snr", snr)
-    x = alpha * snr * snr
-    if x < 1.0:
-        return 0.0
-    return (x - 1.0) / (snr + x)
+    return _r2(_positive("alpha", alpha), _positive("snr", snr))
 
 
 def theory_r2_missing(alpha, snr, m):
@@ -50,13 +55,8 @@ def theory_r2_missing(alpha, snr, m):
     Identical to ``theory_r2_complete(alpha, (1 - m) * snr)``; at m = 1
     nothing is observed and the alignment is zero.
     """
-    m = float(m)
-    _check_rate("m", m)
-    if m == 1.0:
-        _check_positive("alpha", float(alpha))
-        _check_positive("snr", float(snr))
-        return 0.0
-    return theory_r2_complete(alpha, (1.0 - m) * float(snr))
+    m = _rate("m", m)
+    return _r2(_positive("alpha", alpha), (1.0 - m) * _positive("snr", snr))
 
 
 def theory_r2_effective_sample(alpha, snr, m):
@@ -67,13 +67,8 @@ def theory_r2_effective_sample(alpha, snr, m):
     count rather than the signal-to-noise ratio. Used only to compare
     the two hypotheses against simulation.
     """
-    m = float(m)
-    _check_rate("m", m)
-    if m == 1.0:
-        _check_positive("alpha", float(alpha))
-        _check_positive("snr", float(snr))
-        return 0.0
-    return theory_r2_complete((1.0 - m) * float(alpha), snr)
+    m = _rate("m", m)
+    return _r2((1.0 - m) * _positive("alpha", alpha), _positive("snr", snr))
 
 
 def critical_missing_rate(alpha, snr):
@@ -83,10 +78,8 @@ def critical_missing_rate(alpha, snr):
     the clamp covers parameter regions where learning is impossible at
     any missing rate.
     """
-    alpha = float(alpha)
-    snr = float(snr)
-    _check_positive("alpha", alpha)
-    _check_positive("snr", snr)
+    alpha = _positive("alpha", alpha)
+    snr = _positive("snr", snr)
     m_crit = 1.0 - 1.0 / (snr * math.sqrt(alpha))
     return min(max(m_crit, 0.0), 1.0)
 
@@ -97,9 +90,8 @@ def critical_alpha(snr, m):
     Returns 1 / ((1 - m) * snr)^2. No finite sample ratio suffices at
     m = 1, which is rejected.
     """
-    snr = float(snr)
+    snr = _positive("snr", snr)
     m = float(m)
-    _check_positive("snr", snr)
     if not 0.0 <= m < 1.0:
         raise DomainError(f"m must lie in [0, 1), got {m}")
     return 1.0 / ((1.0 - m) * snr) ** 2
@@ -111,10 +103,8 @@ def asymptotic_r2(alpha, snr):
     Valid only above the transition; an approximation that becomes exact
     as alpha grows.
     """
-    alpha = float(alpha)
-    snr = float(snr)
-    _check_positive("alpha", alpha)
-    _check_positive("snr", snr)
+    alpha = _positive("alpha", alpha)
+    snr = _positive("snr", snr)
     if alpha * snr * snr <= 1.0:
         raise DomainError(
             f"expansion requires alpha * snr^2 > 1, got {alpha * snr * snr}"

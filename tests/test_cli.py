@@ -193,6 +193,22 @@ def test_nonfinite_observed_value_exit_code(tmp_path, monkeypatch, capsys, token
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["fit", "--k", "1", "--out", "model.csv"],
+        ["mask", "--rate", "0.3", "--out", "masked.csv"],
+    ],
+    ids=["fit", "mask"],
+)
+def test_negative_seed_exit_code(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    p = tmp_path / "data.csv"
+    p.write_text("1.0,2.0,3.0\n4.0,5.0,6.0\n7.0,8.0,10.0\n1.5,2.5,3.5\n")
+    assert cli_main(command + ["--seed", "-1", "--in", str(p)]) == 1
+    assert "seed" in capsys.readouterr().err
+
+
 EXPERIMENT_CONFIG = """
 [experiment]
 sweep_kind = missing_rate
@@ -240,3 +256,15 @@ def test_experiment_reports_unconverged_cells(tmp_path, capsys):
     expected = tmp_path / "expected.csv"
     write_curve_csv(run_missing_rate_sweep(read_experiment_config(str(cfg))), str(expected))
     assert out.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_experiment_rejects_nonfinite_noise_grid(tmp_path, capsys, value):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(
+        EXPERIMENT_CONFIG.replace("sweep_kind = missing_rate", "sweep_kind = snr_via_added_noise")
+        .replace("grid = 0.0, 0.4, 0.8", f"grid = 0.0, {value}")
+    )
+    assert cli_main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()

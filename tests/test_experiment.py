@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spiked_pca import (
+    CellResult,
     CurveRecord,
     DomainError,
     ExperimentConfig,
@@ -28,6 +29,34 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def check_cells(result, cfg):
+    """``cells`` holds one CellResult per fit in lattice order, the flag
+    views filter it, and every record is the exact fold of its cells."""
+    assert all(isinstance(c, CellResult) for c in result.cells)
+    assert [(c.repetition, c.cell_index, c.sweep_value) for c in result.cells] == [
+        (rep, ci, v) for rep in range(cfg.repetitions) for ci, v in enumerate(cfg.grid)
+    ]
+    assert all((c.r2 == ()) == (c.error != "") for c in result.cells)
+    assert all(len(c.r2) == cfg.fit.k for c in result.cells if not c.error)
+    assert result.failures == tuple(c for c in result.cells if c.error)
+    assert result.unconverged == tuple(
+        c for c in result.cells if not c.error and not c.converged
+    )
+    fitted = [
+        ci for ci in range(len(cfg.grid))
+        if any(c.cell_index == ci and not c.error for c in result.cells)
+    ]
+    assert len(result) == cfg.fit.k * len(fitted)
+    for i, r in enumerate(result):
+        ci = fitted[i // cfg.fit.k]
+        vals = np.array(
+            [c.r2[r.component - 1] for c in result.cells if c.cell_index == ci and not c.error]
+        )
+        assert r.n_reps == vals.size
+        assert r.r2_mean == float(vals.mean())
+        assert r.r2_std == (float(vals.std(ddof=1)) if vals.size > 1 else 0.0)
 
 
 def test_derive_cell_seed_deterministic():
@@ -69,7 +98,9 @@ def test_sweep_kind_mismatch_rejected():
 
 
 def test_missing_sweep_record_counts():
-    result = run_missing_rate_sweep(small_config())
+    cfg = small_config()
+    result = run_missing_rate_sweep(cfg)
+    check_cells(result, cfg)
     assert len(result) == 10  # 5 rates x 2 components
     assert all(r.n_reps == 3 for r in result)
     assert all(0.0 <= r.r2_mean <= 1.0 and r.r2_std >= 0.0 for r in result)
@@ -80,6 +111,7 @@ def test_missing_sweep_record_counts():
 def test_missing_sweep_flags_unconverged_cells():
     cfg = small_config(fit=FitOptions(k=2, max_iterations=2))
     result = run_missing_rate_sweep(cfg)
+    check_cells(result, cfg)
     assert not result.failures
     # every fit hits the cap; each is flagged and still averaged in
     flagged = [(u.repetition, u.cell_index, u.sweep_value) for u in result.unconverged]
@@ -102,11 +134,12 @@ def test_missing_sweep_flags_unconverged_cells():
     ids=["missing_rate", "snr_via_added_noise"],
 )
 def test_sweep_reproducible(run, overrides):
-    a = run(small_config(**overrides))
-    b = run(small_config(**overrides))
+    cfg = small_config(**overrides)
+    a = run(cfg)
+    b = run(cfg)
+    check_cells(a, cfg)
     assert list(a) == list(b)
-    assert a.failures == b.failures
-    assert a.unconverged == b.unconverged
+    assert a.cells == b.cells
 
 
 def test_missing_sweep_theory_attached():
@@ -154,6 +187,7 @@ def test_missing_sweep_null_cell_below_threshold():
 def test_missing_sweep_records_failed_cells():
     cfg = small_config(grid=(0.0, 0.5, 1.0))
     result = run_missing_rate_sweep(cfg)
+    check_cells(result, cfg)
     # the all-missing cell fails every repetition and is reported
     assert len(result.failures) == 3
     assert all(f.sweep_value == 1.0 for f in result.failures)
@@ -220,19 +254,20 @@ def test_snr_sweep_pairs_components_with_sorted_norms():
 
 
 def test_snr_sweep_rejects_negative_grid():
-    cfg = ExperimentConfig(
-        sweep_kind="snr_via_added_noise",
-        grid=(-0.1, 0.0),
-        n=50,
-        d=30,
-        norms=(1.0,),
-        noise_variance=0.05,
-        repetitions=1,
-        base_seed=0,
-        fit=FitOptions(k=1),
-    )
-    with pytest.raises(DomainError):
-        run_snr_sweep(cfg)
+    for grid in [(-0.1, 0.0), (0.0, float("nan")), (0.0, float("inf"))]:
+        cfg = ExperimentConfig(
+            sweep_kind="snr_via_added_noise",
+            grid=grid,
+            n=50,
+            d=30,
+            norms=(1.0,),
+            noise_variance=0.05,
+            repetitions=1,
+            base_seed=0,
+            fit=FitOptions(k=1),
+        )
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            run_snr_sweep(cfg)
 
 
 def make_record(m, component, r2_mean, theory, alt):

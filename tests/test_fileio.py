@@ -49,6 +49,11 @@ def test_read_rejects_ragged_rows(tmp_path):
     with pytest.raises(FormatError) as err:
         read_masked_csv(str(p))
     assert "line 2" in str(err.value)
+    # a blank line is one empty cell, so it is ragged when D >= 2
+    p.write_text("1.0,2.0\n\n3.0,4.0\n")
+    with pytest.raises(FormatError) as err:
+        read_masked_csv(str(p))
+    assert "line 2 has 1 cells, expected 2" in str(err.value)
 
 
 def test_read_rejects_empty_file(tmp_path):
@@ -83,6 +88,14 @@ def test_masked_roundtrip(tmp_path):
     assert np.array_equal(y.mask, x.mask)
     # six significant digits survive the trip
     assert np.allclose(y.values[y.mask], x.values[x.mask], rtol=1e-5)
+    # one column: a missing entry is written as a blank line, here the first
+    mask = np.array([[False], [True], [False], [True]])
+    p1 = tmp_path / "one_column.csv"
+    write_masked_csv(MaskedMatrix(np.array([[0.0], [1.5], [0.0], [-2.0]]), mask), str(p1))
+    assert p1.read_text() == "\n1.5\n\n-2\n"
+    y1 = read_masked_csv(str(p1))
+    assert np.array_equal(y1.mask, mask)
+    assert y1.values[1, 0] == 1.5 and y1.values[3, 0] == -2.0
 
 
 def test_masked_roundtrip_with_header(tmp_path):

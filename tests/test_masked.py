@@ -28,6 +28,12 @@ def test_mask_rejects_rates_outside_unit_interval(m):
         apply_mcar_mask(np.zeros((2, 2)), m, seed=0)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True], ids=["negative", "float", "bool"])
+def test_mask_rejects_invalid_seed(seed):
+    with pytest.raises(DomainError, match="seed"):
+        apply_mcar_mask(np.zeros((2, 2)), 0.5, seed=seed)
+
+
 def test_mask_rejects_nonfinite_data():
     data = np.zeros((2, 2))
     data[0, 0] = np.inf

@@ -106,8 +106,9 @@ def test_add_noise_preserves_mask_and_missing_entries():
 
 def test_add_noise_rejects_negative_variance():
     x = apply_mcar_mask(np.zeros((2, 2)), 0.0, seed=0)
-    with pytest.raises(DomainError):
-        add_isotropic_noise(x, -0.1, seed=0)
+    for bad in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            add_isotropic_noise(x, bad, seed=0)
 
 
 def test_added_noise_yields_expected_snr():

@@ -83,6 +83,8 @@ def test_fit_options_validation():
         pytest.param(dict(k=True), id="k-bool"),
         pytest.param(dict(k=1, max_iterations=10.0), id="max_iterations-float"),
         pytest.param(dict(k=1, tolerance_streak="3"), id="tolerance_streak-str"),
+        pytest.param(dict(k=1, seed=-3), id="seed-negative"),
+        pytest.param(dict(k=1, seed=1.5), id="seed-float"),
     ],
 )
 def test_fit_options_rejects_nonfinite_tolerance_and_noninteger_counts(bad):
@@ -91,8 +93,11 @@ def test_fit_options_rejects_nonfinite_tolerance_and_noninteger_counts(bad):
 
 
 def test_fit_options_accept_numpy_integers():
-    opts = FitOptions(k=np.int64(2), max_iterations=np.int32(5), tolerance_streak=np.int64(1))
-    assert (opts.k, opts.max_iterations, opts.tolerance_streak) == (2, 5, 1)
+    opts = FitOptions(
+        k=np.int64(2), max_iterations=np.int32(5), tolerance_streak=np.int64(1),
+        seed=np.uint64(7),
+    )
+    assert (opts.k, opts.max_iterations, opts.tolerance_streak, opts.seed) == (2, 5, 1, 7)
 
 
 def test_fit_deterministic():
