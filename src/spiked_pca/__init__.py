@@ -26,7 +26,6 @@ from .experiment import (
     run_snr_sweep,
 )
 from .fileio import (
-    MatrixFile,
     read_curve_csv,
     read_experiment_config,
     read_masked_csv,
@@ -74,7 +73,6 @@ __all__ = [
     "FormatError",
     "GroundTruth",
     "MaskedMatrix",
-    "MatrixFile",
     "NumericalError",
     "PpcaModel",
     "SnrEstimate",

@@ -17,7 +17,6 @@ from .experiment import (
     run_snr_sweep,
 )
 from .fileio import (
-    MatrixFile,
     read_experiment_config,
     read_masked_csv,
     write_curve_csv,

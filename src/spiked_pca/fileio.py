@@ -1,15 +1,15 @@
 """CSV and config-file serialization.
 
 All real numbers are written with 6 significant digits; tests compare
-them with tolerances, never string equality. Missing entries are empty
-cells on disk (the token ``NaN`` is also accepted on read) and become
-mask bits in memory.
+them with tolerances, never string equality. A matrix CSV has one fixed
+format: comma-separated cells, no header, one line per sample. Missing
+entries are written as empty cells, so in a one-column file as blank
+lines; on read, whitespace-only cells and ``NaN`` in any case are missing
+too. They become mask bits in memory.
 """
 
 import configparser
-import csv
-import math
-from dataclasses import dataclass
+import re
 
 import numpy as np
 
@@ -33,94 +33,47 @@ def _fmt(value):
     return format(float(value), ".6g")
 
 
-@dataclass(frozen=True)
-class MatrixFile:
-    """How to read or write one matrix CSV."""
-
-    path: str
-    delimiter: str = ","
-    missing_token: str = ""
-    header: bool = False
-
-    def __post_init__(self):
-        if len(self.delimiter) != 1 or not self.delimiter.isprintable():
-            raise DomainError("delimiter must be a single printable character")
-        try:
-            parsed = float(self.missing_token)
-        except ValueError:
-            return
-        if math.isfinite(parsed):
-            raise DomainError(
-                f"missing token {self.missing_token!r} parses as a number"
-            )
+_BLANK_CELL = re.compile(r"(?<![^,])\s*(?![^,])")  # an empty or whitespace-only cell
+_NUMPY_CELL = re.compile(r"at row (\d+), column (\d+)")
 
 
-def read_masked_csv(file):
+def read_masked_csv(path):
     """Read a matrix CSV into a MaskedMatrix.
 
-    Accepts a MatrixFile or a plain path with default settings. Cells
-    equal to the missing token, empty, or spelled ``NaN`` (any case) are
-    masked out. Ragged rows and unparseable cells are format errors that
+    Cells that are empty, whitespace or spelled ``NaN`` (any case, with
+    or without a sign) are masked out. Ragged rows and unparseable cells are format errors that
     name the offending line or (row, column).
     """
-    if not isinstance(file, MatrixFile):
-        file = MatrixFile(str(file))
-    values = []
-    mask = []
-    width = None
-    with open(file.path, newline="") as handle:
-        reader = csv.reader(handle, delimiter=file.delimiter)
-        for line_no, row in enumerate(reader, start=1):
-            if file.header and line_no == 1:
-                continue
-            # a one-column row whose entry is missing is written as a blank line
-            row = row or [""]
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise FormatError(
-                    f"{file.path}: line {line_no} has {len(row)} cells, expected {width}"
-                )
-            row_values = []
-            row_mask = []
-            data_row = len(values) + 1
-            for col, cell in enumerate(row, start=1):
-                cell = cell.strip()
-                if cell == file.missing_token or cell == "" or cell.lower() == "nan":
-                    row_values.append(float("nan"))
-                    row_mask.append(False)
-                    continue
-                try:
-                    row_values.append(float(cell))
-                except ValueError:
-                    raise FormatError(
-                        f"{file.path}: cannot parse {cell!r} at row {data_row}, column {col}"
-                    ) from None
-                row_mask.append(True)
-            values.append(row_values)
-            mask.append(row_mask)
-    if not values:
-        raise FormatError(f"{file.path}: no data")
-    return MaskedMatrix(np.array(values), np.array(mask, dtype=bool))
+    with open(path) as handle:
+        # a one-column row whose entry is missing is written as a blank line
+        lines = [_BLANK_CELL.sub("nan", line.rstrip("\n")) for line in handle]
+    if not lines:
+        raise FormatError(f"{path}: no data")
+    width = lines[0].count(",") + 1
+    for line_no, line in enumerate(lines, start=1):
+        cells = line.count(",") + 1
+        if cells != width:
+            raise FormatError(f"{path}: line {line_no} has {cells} cells, expected {width}")
+    try:
+        values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        where = _NUMPY_CELL.search(str(exc))
+        if where is None:
+            raise FormatError(f"{path}: {exc}") from None
+        row, col = int(where[1]) + 1, int(where[2])  # no line is blank, so rows are lines
+        cell = lines[row - 1].split(",")[col - 1].strip()
+        raise FormatError(
+            f"{path}: cannot parse {cell!r} at row {row}, column {col}"
+        ) from None
+    return MaskedMatrix(values, ~np.isnan(values))
 
 
-def write_masked_csv(x, file):
-    """Write a MaskedMatrix; unobserved entries become the missing token.
-
-    With ``file.header`` the first line names the columns ``x1 .. xD``.
-    """
-    if not isinstance(file, MatrixFile):
-        file = MatrixFile(str(file))
-    with open(file.path, "w", newline="\n") as handle:
-        if file.header:
-            names = (f"x{j}" for j in range(1, x.n_cols + 1))
-            handle.write(file.delimiter.join(names) + "\n")
+def write_masked_csv(x, path):
+    """Write a MaskedMatrix; unobserved entries become empty cells."""
+    with open(path, "w", newline="\n") as handle:
         for row_values, row_mask in zip(x.values, x.mask):
-            cells = [
-                _fmt(v) if ok else file.missing_token
-                for v, ok in zip(row_values, row_mask)
-            ]
-            handle.write(file.delimiter.join(cells) + "\n")
+            cells = [_fmt(v) if ok else "" for v, ok in zip(row_values, row_mask)]
+            handle.write(",".join(cells) + "\n")
 
 
 def write_curve_csv(records, path, summary=None):
@@ -212,6 +165,12 @@ def _parse_grid(text):
     return tuple(float(v) for v in text.split(","))
 
 
+_CONFIG_KEYS = {
+    "sweep_kind", "grid", "n", "d", "norms", "noise_variance", "repetitions",
+    "base_seed", "fixed_missing_rate", "max_iterations", "rel_tolerance",
+}
+
+
 def read_experiment_config(path):
     """Parse an experiment config file into an ExperimentConfig.
 
@@ -234,13 +193,16 @@ def read_experiment_config(path):
             raise FormatError(f"{path}: missing key {key!r}")
         return section[key]
 
+    for key in section:
+        if key not in _CONFIG_KEYS:
+            raise FormatError(f"{path}: unknown key {key!r}")
+
     try:
         norms = tuple(float(v) for v in need("norms").split(","))
         fit = FitOptions(
-            k=section.getint("k", len(norms)),
+            k=len(norms),
             max_iterations=section.getint("max_iterations", FitOptions.max_iterations),
             rel_tolerance=section.getfloat("rel_tolerance", FitOptions.rel_tolerance),
-            tolerance_streak=section.getint("tolerance_streak", FitOptions.tolerance_streak),
         )
         return ExperimentConfig(
             sweep_kind=need("sweep_kind"),

@@ -23,7 +23,6 @@ class SnrEstimate:
 
     noise_variance_hat: float
     snr_per_component: np.ndarray
-    k: int
 
 
 def r_squared(a_hat, a_true):
@@ -108,7 +107,7 @@ def estimate_snr(eigenvalues, k):
     if np.any(snr < 0):
         warnings.warn("negative signal-to-noise estimate floored at 0", RuntimeWarning)
         snr = np.maximum(snr, 0.0)
-    return SnrEstimate(sigma2_hat, snr, int(k))
+    return SnrEstimate(sigma2_hat, snr)
 
 
 def add_isotropic_noise(x, sigma2_added, seed):

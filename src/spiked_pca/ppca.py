@@ -19,6 +19,7 @@ from .errors import DomainError, NumericalError
 from .masked import center_observed
 
 SIGMA2_FLOOR = 1e-12
+TOLERANCE_STREAK = 3  # consecutive cycles below rel_tolerance that stop a fit
 
 
 @dataclass(frozen=True)
@@ -28,11 +29,10 @@ class FitOptions:
     k: int
     max_iterations: int = 1000
     rel_tolerance: float = 1e-7
-    tolerance_streak: int = 3
     seed: int = 0
 
     def __post_init__(self):
-        lows = (("k", 1), ("max_iterations", 1), ("tolerance_streak", 1), ("seed", 0))
+        lows = (("k", 1), ("max_iterations", 1), ("seed", 0))
         for name, low in lows:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -205,7 +205,7 @@ def fit_ppca(x, opts):
         The fit is deterministic in (x, opts). The log-likelihoods of the
         accepted points are nondecreasing up to numerical slack; the fit
         stops once their relative increase stays below
-        ``opts.rel_tolerance`` for ``opts.tolerance_streak`` consecutive
+        ``opts.rel_tolerance`` for ``TOLERANCE_STREAK`` (three) consecutive
         cycles, or when ``opts.max_iterations`` EM steps are spent (a
         cycle with one step left takes the plain step).
     """
@@ -238,7 +238,7 @@ def fit_ppca(x, opts):
         history.append(p.ll)
         rel = (p.ll - p0.ll) / abs(p0.ll)
         streak = streak + 1 if abs(rel) < opts.rel_tolerance else 0
-        if streak >= opts.tolerance_streak:
+        if streak >= TOLERANCE_STREAK:
             converged = True
             break
 

@@ -21,8 +21,8 @@ from .errors import DomainError
 
 def _positive(name, value):
     value = float(value)
-    if not value > 0:
-        raise DomainError(f"{name} must be positive, got {value}")
+    if not 0 < value < math.inf:
+        raise DomainError(f"{name} must be positive and finite, got {value}")
     return value
 
 
@@ -35,9 +35,11 @@ def _rate(name, value):
 
 def _r2(alpha, snr):
     x = alpha * snr * snr
-    # at m = 1 an infinite alpha or snr meets a zero factor and x is nan
-    if not x >= 1.0:
+    if x < 1.0:
         return 0.0
+    if math.isinf(snr + x):
+        # the same ratio divided through by x, whose terms stay finite
+        return (1.0 - 1.0 / x) / (1.0 + 1.0 / (alpha * snr))
     return (x - 1.0) / (snr + x)
 
 
@@ -80,21 +82,29 @@ def critical_missing_rate(alpha, snr):
     """
     alpha = _positive("alpha", alpha)
     snr = _positive("snr", snr)
-    m_crit = 1.0 - 1.0 / (snr * math.sqrt(alpha))
-    return min(max(m_crit, 0.0), 1.0)
+    root = snr * math.sqrt(alpha)
+    if root <= 1.0:  # also where the product underflows to zero
+        return 0.0
+    return 1.0 - 1.0 / root
 
 
 def critical_alpha(snr, m):
     """Sample ratio below which the predicted alignment is zero.
 
-    Returns 1 / ((1 - m) * snr)^2. No finite sample ratio suffices at
-    m = 1, which is rejected.
+    Returns 1 / ((1 - m) * snr)^2, which is 0 where the square overflows
+    and inf where it underflows. No finite sample ratio suffices at m = 1,
+    which is rejected.
     """
     snr = _positive("snr", snr)
     m = float(m)
     if not 0.0 <= m < 1.0:
         raise DomainError(f"m must lie in [0, 1), got {m}")
-    return 1.0 / ((1.0 - m) * snr) ** 2
+    try:
+        return 1.0 / ((1.0 - m) * snr) ** 2
+    except OverflowError:
+        return 0.0
+    except ZeroDivisionError:
+        return math.inf
 
 
 def asymptotic_r2(alpha, snr):

@@ -43,6 +43,43 @@ def test_theory_domain_error_exit_code(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(["--alpha", "inf", "--snr", "1"], id="alpha-inf"),
+        pytest.param(["--alpha", "1", "--snr", "inf"], id="snr-inf"),
+        pytest.param(["--alpha", "1", "--snr", "nan"], id="snr-nan"),
+        pytest.param(["--alpha", "1", "--snr", "1", "--missing", "inf"], id="missing-inf"),
+    ],
+)
+def test_theory_nonfinite_input_exit_code(capsys, args):
+    assert cli_main(["theory", *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "args,r2,alpha_crit",
+    [
+        # alpha * snr^2 and the square in alpha_crit overflow
+        pytest.param(["--alpha", "1", "--snr", "1e200", "--missing", "0.5"], 1.0, 0.0,
+                     id="snr-1e200"),
+        pytest.param(["--alpha", "1e300", "--snr", "1e10"], 1.0, 1e-20, id="alpha-1e300"),
+        # snr + alpha * snr^2 overflows, the ratio is 1/2
+        pytest.param(["--alpha", "1e-308", "--snr", "1e308"], 0.5, 0.0, id="sum-overflow"),
+        # alpha_crit's square underflows: no double sample ratio suffices
+        pytest.param(["--alpha", "1e-300", "--snr", "1e-200"], 0.0, float("inf"),
+                     id="underflow"),
+    ],
+)
+def test_theory_extreme_finite_input(capsys, args, r2, alpha_crit):
+    assert cli_main(["theory", *args]) == 0
+    kv = parse_kv(capsys.readouterr().out)
+    assert float(kv["predicted_r2"]) == r2
+    assert float(kv["alpha_crit"]) == alpha_crit
+    assert 0.0 <= float(kv["m_crit"]) <= 1.0
+
+
 def test_usage_error_exit_code(capsys):
     assert cli_main(["theory", "--snr", "20"]) == 1
     assert cli_main(["no-such-command"]) == 1

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from spiked_pca import (
     DomainError,
     FormatError,
     MaskedMatrix,
-    MatrixFile,
     apply_mcar_mask,
     make_ground_truth,
     read_curve_csv,
@@ -27,7 +28,8 @@ def test_read_empty_cell_is_missing(tmp_path):
     assert x.values[0, 0] == 1.0 and x.values[0, 2] == 3.0
 
 
-@pytest.mark.parametrize("token", ["NaN", "nan", "NAN"])
+# a signed NaN reads as missing too
+@pytest.mark.parametrize("token", ["NaN", "nan", "NAN", "-nan", "+NaN"])
 def test_read_nan_token_is_missing(tmp_path, token):
     p = tmp_path / "m.csv"
     p.write_text(f"1.0,{token},3.0\n")
@@ -41,6 +43,11 @@ def test_read_rejects_unparseable_cell(tmp_path):
     with pytest.raises(FormatError) as err:
         read_masked_csv(str(p))
     assert "row 1" in str(err.value) and "column 2" in str(err.value)
+    # a quoted cell and a digit separator are not numbers in this format
+    for cell in ('"7"', "1_0"):
+        p.write_text(f"1.0,{cell}\n")
+        with pytest.raises(FormatError, match="row 1, column 2"):
+            read_masked_csv(str(p))
 
 
 def test_read_rejects_ragged_rows(tmp_path):
@@ -63,20 +70,50 @@ def test_read_rejects_empty_file(tmp_path):
         read_masked_csv(str(p))
 
 
-def test_read_with_header_and_custom_settings(tmp_path):
+# tokens a matrix CSV cell may hold: numbers, blanks, NaN spellings, an
+# overflowing number (observed, infinite) and junk
+CELL_TOKENS = (
+    "1.5", "-2", "3e-7", " 0.25 ", "", " ", "\t", "NaN", "nan", " NAN ", "-nan",
+    "1e400", "-inf", "abc",
+)
+
+
+def reference_cell(token):
+    """(value, observed) of one cell, or None where it does not parse."""
+    cell = token.strip()
+    if not cell:
+        return math.nan, False
+    try:
+        value = float(cell)
+    except ValueError:
+        return None
+    return value, not math.isnan(value)
+
+
+def test_read_matches_per_cell_reference(tmp_path):
+    rng = np.random.default_rng(20261018)
+    # junk is rare so that most files parse
+    weights = np.where(np.array(CELL_TOKENS) == "abc", 0.2, 1.0)
     p = tmp_path / "m.csv"
-    p.write_text("a;b\n1.5;NA\n")
-    x = read_masked_csv(MatrixFile(str(p), delimiter=";", missing_token="NA", header=True))
-    assert x.n_rows == 1
-    assert list(x.mask[0]) == [True, False]
-
-
-def test_matrix_file_validation(tmp_path):
-    with pytest.raises(DomainError):
-        MatrixFile("x.csv", delimiter="ab")
-    with pytest.raises(DomainError):
-        MatrixFile("x.csv", missing_token="5.0")
-    MatrixFile("x.csv", missing_token="NaN")  # non-finite token is allowed
+    for _ in range(300):
+        n, d = rng.integers(1, 5, size=2)
+        picks = rng.choice(len(CELL_TOKENS), size=(n, d), p=weights / weights.sum())
+        tokens = [[CELL_TOKENS[i] for i in row] for row in picks]
+        newline = ("\n", "\r\n")[rng.integers(2)]
+        p.write_bytes("".join(",".join(row) + newline for row in tokens).encode())
+        cells = [[reference_cell(t) for t in row] for row in tokens]
+        bad = [(r, c) for r, row in enumerate(cells, 1) for c, v in enumerate(row, 1) if v is None]
+        if bad:
+            # the first junk cell in reading order is named, 1-based
+            row, col = bad[0]
+            with pytest.raises(FormatError, match=f"'abc' at row {row}, column {col}$"):
+                read_masked_csv(str(p))
+            continue
+        x = read_masked_csv(str(p))
+        mask = np.array([[ok for _, ok in row] for row in cells])
+        values = np.array([[v for v, _ in row] for row in cells])
+        assert np.array_equal(x.mask, mask)
+        assert np.array_equal(x.values[mask], values[mask])
 
 
 def test_masked_roundtrip(tmp_path):
@@ -96,20 +133,6 @@ def test_masked_roundtrip(tmp_path):
     y1 = read_masked_csv(str(p1))
     assert np.array_equal(y1.mask, mask)
     assert y1.values[1, 0] == 1.5 and y1.values[3, 0] == -2.0
-
-
-def test_masked_roundtrip_with_header(tmp_path):
-    values = np.arange(12.0).reshape(4, 3) + 0.5
-    mask = np.ones((4, 3), dtype=bool)
-    mask[0, 1] = mask[3, 2] = False
-    file = MatrixFile(str(tmp_path / "h.csv"), delimiter=";", missing_token="NA", header=True)
-    write_masked_csv(MaskedMatrix(values, mask), file)
-    lines = (tmp_path / "h.csv").read_text().splitlines()
-    assert lines[:2] == ["x1;x2;x3", "0.5;NA;2.5"]
-    y = read_masked_csv(file)
-    assert y.n_rows == 4
-    assert np.array_equal(y.mask, mask)
-    assert np.array_equal(y.values[mask], values[mask])
 
 
 def make_records(n, m_values=None):
@@ -233,3 +256,8 @@ def test_read_experiment_config_errors(tmp_path):
     p.write_text(CONFIG_TEXT.replace("n = 60", "n = sixty"))
     with pytest.raises(FormatError):
         read_experiment_config(str(p))
+    # unknown keys, a typo or a key that is no longer read, are errors
+    for line in ("max_iteration = 2", "k = 2", "tolerance_streak = 3"):
+        p.write_text(CONFIG_TEXT + line + "\n")
+        with pytest.raises(FormatError, match=f"unknown key '{line.split()[0]}'"):
+            read_experiment_config(str(p))

@@ -67,7 +67,6 @@ def test_fit_options_validation():
         dict(k=0),
         dict(k=1, max_iterations=0),
         dict(k=1, rel_tolerance=0.0),
-        dict(k=1, tolerance_streak=0),
     ):
         with pytest.raises(DomainError):
             FitOptions(**bad)
@@ -82,7 +81,6 @@ def test_fit_options_validation():
         pytest.param(dict(k=1.5), id="k-float"),
         pytest.param(dict(k=True), id="k-bool"),
         pytest.param(dict(k=1, max_iterations=10.0), id="max_iterations-float"),
-        pytest.param(dict(k=1, tolerance_streak="3"), id="tolerance_streak-str"),
         pytest.param(dict(k=1, seed=-3), id="seed-negative"),
         pytest.param(dict(k=1, seed=1.5), id="seed-float"),
     ],
@@ -93,11 +91,8 @@ def test_fit_options_rejects_nonfinite_tolerance_and_noninteger_counts(bad):
 
 
 def test_fit_options_accept_numpy_integers():
-    opts = FitOptions(
-        k=np.int64(2), max_iterations=np.int32(5), tolerance_streak=np.int64(1),
-        seed=np.uint64(7),
-    )
-    assert (opts.k, opts.max_iterations, opts.tolerance_streak, opts.seed) == (2, 5, 1, 7)
+    opts = FitOptions(k=np.int64(2), max_iterations=np.int32(5), seed=np.uint64(7))
+    assert (opts.k, opts.max_iterations, opts.seed) == (2, 5, 7)
 
 
 def test_fit_deterministic():

@@ -139,6 +139,9 @@ def test_theory_point_invariants():
         (theory_r2_effective_sample, (1.0, 1.0, 2.0)),
         (critical_missing_rate, (0.0, 1.0)),
         (critical_alpha, (0.0, 0.5)),
+        (theory_r2_complete, (float("inf"), 1.0)),
+        (theory_r2_missing, (1.0, float("inf"), 0.5)),
+        (critical_alpha, (float("inf"), 0.5)),
     ],
 )
 def test_domain_errors(func, args):
