@@ -42,11 +42,15 @@ def read_masked_csv(path):
 
     Cells that are empty, whitespace or spelled ``NaN`` (any case, with
     or without a sign) are masked out. Ragged rows and unparseable cells are format errors that
-    name the offending line or (row, column).
+    name the offending line or (row, column); bytes that do not decode as
+    text are a format error naming the file.
     """
-    with open(path) as handle:
-        # a one-column row whose entry is missing is written as a blank line
-        lines = [_BLANK_CELL.sub("nan", line.rstrip("\n")) for line in handle]
+    try:
+        with open(path) as handle:
+            # a one-column row whose entry is missing is written as a blank line
+            lines = [_BLANK_CELL.sub("nan", line.rstrip("\n")) for line in handle]
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not text: {exc.reason} at byte {exc.start}") from None
     if not lines:
         raise FormatError(f"{path}: no data")
     width = lines[0].count(",") + 1

@@ -18,8 +18,8 @@ class MaskedMatrix:
     """An N x D real matrix together with a boolean observation mask.
 
     ``mask[n, d]`` is True where the entry is observed. Entries of
-    ``values`` at unobserved positions are undefined and are never read
-    by any operation in this package. Both arrays are frozen read-only,
+    ``values`` at unobserved positions are undefined, and no operation in
+    this package reads them from its input. Both arrays are frozen read-only,
     so instances are safe to share across threads.
     """
 
@@ -82,20 +82,21 @@ def apply_mcar_mask(data, m, seed):
 def center_observed(x):
     """Subtract per-column observed means from the observed entries.
 
-    Returns the centered matrix (missing entries untouched) and the mean
-    vector needed to invert the transform. A column with no observed
-    entries has no mean and raises :class:`DegenerateColumnError`; a
-    non-finite observed value raises :class:`DomainError`.
+    Returns the centered matrix, whose unobserved entries are written as
+    0, and the mean vector needed to invert the transform. A column with
+    no observed entries has no mean and raises
+    :class:`DegenerateColumnError`; a non-finite observed value raises
+    :class:`DomainError`.
     """
     counts = x.mask.sum(axis=0)
     empty = np.flatnonzero(counts == 0)
     if empty.size:
         raise DegenerateColumnError(empty[0], "cannot compute an observed mean")
-    observed = np.where(x.mask, x.values, 0.0)
-    if not np.isfinite(observed).all():
+    centered = np.where(x.mask, x.values, 0.0)
+    if not np.isfinite(centered).all():
         raise DomainError("observed entries must be finite")
-    mean = observed.sum(axis=0) / counts
-    centered = np.where(x.mask, x.values - mean, x.values)
+    mean = centered.sum(axis=0) / counts
+    np.subtract(centered, mean, out=centered, where=x.mask)
     return MaskedMatrix(centered, x.mask), mean
 
 

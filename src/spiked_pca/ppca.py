@@ -20,11 +20,20 @@ from .masked import center_observed
 
 SIGMA2_FLOOR = 1e-12
 TOLERANCE_STREAK = 3  # consecutive cycles below rel_tolerance that stop a fit
+# the spectral start: block width k + SPECTRAL_OVERSAMPLE, SPECTRAL_ITERATIONS
+# subspace iterations, and start loading variances floored at
+# SPECTRAL_FLOOR * sigma2
+SPECTRAL_OVERSAMPLE = 2
+SPECTRAL_ITERATIONS = 16
+SPECTRAL_FLOOR = 0.1
 
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Settings for one EM fit. ``seed`` only affects the random start."""
+    """Settings for one EM fit.
+
+    ``seed`` only draws the Gaussian test block of the spectral start.
+    """
 
     k: int
     max_iterations: int = 1000
@@ -53,7 +62,7 @@ class PpcaModel:
     """A fitted model: mean, loadings, noise variance and fit diagnostics.
 
     ``loglik_history`` holds the observed-data log-likelihood of the
-    random start and of the point each accelerated cycle accepted, so it
+    spectral start and of the point each accelerated cycle accepted, so it
     is nondecreasing; ``log_likelihood`` is its last entry and belongs to
     the returned parameters. ``n_iterations`` counts applications of the
     EM map (M-steps), two per cycle, so it never exceeds
@@ -72,7 +81,10 @@ class PpcaModel:
 
 
 class _Point(NamedTuple):
-    """Parameters (A, sigma2) with their E-step: log-likelihood and posterior."""
+    """Parameters (A, sigma2) with their E-step: log-likelihood and posterior.
+
+    The first two fields are the parameters, so ``p[:2]`` is ``(A, sigma2)``.
+    """
 
     A: np.ndarray
     sigma2: float
@@ -88,27 +100,51 @@ class _ObservedEm:
         mask = centered.mask
         self.n, self.d = mask.shape
         self.W = mask.astype(float)
-        self.Y = np.where(mask, centered.values, 0.0)
+        self.Y = centered.values  # zero at unobserved entries
         obs_per_row = mask.sum(axis=1)
         self.n_skipped = int(np.count_nonzero(obs_per_row == 0))
         self.total_obs = float(obs_per_row.sum())
-        self.yy_row = (self.Y ** 2).sum(axis=1)
+        self.yy_row = np.einsum("nd,nd->n", self.Y, self.Y)
         self.sum_yy = float(self.yy_row.sum())
 
     def start(self, k, seed):
-        """The scale-aware random start and its E-step.
+        """The spectral start and its E-step.
 
-        Loading entries are i.i.d. normal with variance vbar / sqrt(k*D)
-        and the noise starts at half the average observed column
-        variance vbar.
+        The start is the PPCA maximum-likelihood point of the debiased
+        zero-filled covariance C (Lounici 2014): the off-diagonals of
+        Y^T Y / n_eff divided by p^2 and its diagonal by p, where n_eff
+        counts the rows that observe anything and p is their observed
+        fraction. Block subspace iteration (Halko, Martinsson & Tropp
+        2011) from a Gaussian block drawn with ``seed`` finds C's top-k
+        eigenpairs (V, lambda) without forming C. The noise starts at the
+        mean of the trailing eigenvalues, sigma2 = (tr C - sum lambda) /
+        (D - k), and the loadings at V sqrt(lambda - sigma2), floored at
+        SPECTRAL_FLOOR * sigma2 so that a component below the threshold
+        does not start at A = 0, a fixed point of EM.
         """
-        col_var = (self.Y ** 2).sum(axis=0) / self.W.sum(axis=0)
-        vbar = float(col_var.mean())
-        rng = np.random.default_rng(seed)
-        A = rng.standard_normal((self.d, k)) * math.sqrt(
-            max(vbar, SIGMA2_FLOOR) / math.sqrt(k * self.d)
-        )
-        return self.estep(A, max(vbar / 2.0, SIGMA2_FLOOR), 0)
+        n_eff = self.n - self.n_skipped
+        p = self.total_obs / (n_eff * self.d)
+        scale = 1.0 / (n_eff * p * p)
+        Q = np.random.default_rng(seed).standard_normal((self.d, k + SPECTRAL_OVERSAMPLE))
+        with np.errstate(over="ignore", invalid="ignore"):
+            shrink = ((1.0 - p) * np.einsum("nd,nd->d", self.Y, self.Y))[:, None]
+
+            def cov_times(Q):
+                return (self.Y.T @ (self.Y @ Q) - shrink * Q) * scale
+
+            try:
+                for _ in range(SPECTRAL_ITERATIONS):
+                    Q = np.linalg.qr(cov_times(Q))[0]
+                lam, U = np.linalg.eigh(Q.T @ cov_times(Q))  # Rayleigh-Ritz
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(f"spectral start failed: {exc}") from exc
+            if not (np.isfinite(lam).all() and np.isfinite(U).all()):
+                raise NumericalError("spectral start not finite: the data overflow")
+        lam, V = lam[::-1][:k], Q @ U[:, ::-1][:, :k]
+        trace = self.sum_yy / (n_eff * p)
+        sigma2 = max((trace - float(lam.sum())) / (self.d - k), SIGMA2_FLOOR)
+        A = V * np.sqrt(np.maximum(lam - sigma2, SPECTRAL_FLOOR * sigma2))
+        return self.estep(A, sigma2, 0)
 
     def estep(self, A, sigma2, iteration):
         """The point (A, sigma2) with its log-likelihood and posterior."""
@@ -138,9 +174,8 @@ class _ObservedEm:
             raise NumericalError(f"log-likelihood non-finite at iteration {iteration}")
         return _Point(A, sigma2, float(ll), Minv, Z)
 
-    def step(self, p, iteration):
-        """One EM map application: the M-step from p's posterior, then the
-        E-step at the new parameters."""
+    def mstep(self, p, iteration):
+        """The M-step from p's posterior: the next parameters (A, sigma2)."""
         n, k = self.n, p.A.shape[1]
         Ezz = p.sigma2 * p.Minv + p.Z[:, :, None] * p.Z[:, None, :]
         # each loading row solves sum_n w (z z^T) a_d = sum_n w y z
@@ -157,38 +192,43 @@ class _ObservedEm:
         cross = float((A * S1).sum())
         tr = float((S2 * (A[:, :, None] * A[:, None, :])).sum())
         sigma2 = max((self.sum_yy - 2.0 * cross + tr) / self.total_obs, SIGMA2_FLOOR)
-        return self.estep(A, sigma2, iteration + 1)
+        return A, sigma2
 
 
-def _extrapolate(p0, p1, p2):
+def _extrapolate(theta0, theta1, theta2):
     """The SQUAREM point theta0 - 2 alpha r + alpha^2 v over (A, sigma2).
 
-    r = theta1 - theta0 and v = theta2 - 2 theta1 + theta0 for two EM steps
-    theta0 -> theta1 -> theta2; alpha = min(-|r| / |v|, -1), and alpha = -1
-    gives theta2 itself. Returns None when v vanishes or the extrapolated
-    noise variance is not above the floor.
+    Each theta is a pair (A, sigma2). r = theta1 - theta0 and
+    v = theta2 - 2 theta1 + theta0 for two EM steps theta0 -> theta1 ->
+    theta2; alpha = min(-|r| / |v|, -1), and alpha = -1 gives theta2
+    itself. Returns None when v vanishes or the extrapolated noise
+    variance is not above the floor.
     """
-    r_a, v_a = p1.A - p0.A, p2.A - 2.0 * p1.A + p0.A
-    r_s, v_s = p1.sigma2 - p0.sigma2, p2.sigma2 - 2.0 * p1.sigma2 + p0.sigma2
+    (a0, s0), (a1, s1), (a2, s2) = theta0, theta1, theta2
+    r_a, v_a = a1 - a0, a2 - 2.0 * a1 + a0
+    r_s, v_s = s1 - s0, s2 - 2.0 * s1 + s0
     norm_v = math.sqrt(float((v_a ** 2).sum()) + v_s ** 2)
     if norm_v == 0.0:
         return None
     norm_r = math.sqrt(float((r_a ** 2).sum()) + r_s ** 2)
     alpha = min(-norm_r / norm_v, -1.0)
-    sigma2 = p0.sigma2 - 2.0 * alpha * r_s + alpha ** 2 * v_s
+    sigma2 = s0 - 2.0 * alpha * r_s + alpha ** 2 * v_s
     if not sigma2 > SIGMA2_FLOOR:
         return None
-    return p0.A - 2.0 * alpha * r_a + alpha ** 2 * v_a, sigma2
+    return a0 - 2.0 * alpha * r_a + alpha ** 2 * v_a, sigma2
 
 
 def fit_ppca(x, opts):
     """Fit probabilistic PCA to a masked matrix by SQUAREM-accelerated EM.
 
-    Each cycle takes two EM steps theta0 -> theta1 -> theta2 over (A,
-    sigma2) and extrapolates along them (Varadhan & Roland 2008). The
-    extrapolated point is kept only if its noise variance is above the
-    floor, its E-step succeeds and its log-likelihood is at least that of
-    theta2; otherwise the cycle keeps theta2, the plain EM point.
+    EM starts from the spectral start (``_ObservedEm.start``). Each cycle
+    takes two EM steps theta0 -> theta1 -> theta2 over (A, sigma2) and
+    extrapolates along them (Varadhan & Roland 2008). theta2 gets no
+    E-step of its own unless it is kept: the extrapolated point is kept
+    if its noise variance is above the floor, its E-step succeeds and its
+    log-likelihood is at least that of theta1; otherwise the cycle keeps
+    theta2, the plain EM point. A cycle thus costs two M-steps and two
+    E-steps, three after a rejection.
 
     Parameters
     ----------
@@ -197,7 +237,7 @@ def fit_ppca(x, opts):
         least one observed entry; fully missing rows are allowed and
         skipped.
     opts : FitOptions
-        Number of components, stopping rule and initialization seed.
+        Number of components, stopping rule and the start's seed.
 
     Returns
     -------
@@ -222,19 +262,19 @@ def fit_ppca(x, opts):
     streak = 0
     while n_iter < opts.max_iterations:
         p0 = p
-        p = p1 = em.step(p0, n_iter)
+        p = p1 = em.estep(*em.mstep(p0, n_iter), n_iter + 1)
         n_iter += 1
         if n_iter < opts.max_iterations:
-            p = p2 = em.step(p1, n_iter)
+            theta2 = em.mstep(p1, n_iter)
             n_iter += 1
-            theta = _extrapolate(p0, p1, p2)
+            theta = _extrapolate(p0[:2], p1[:2], theta2)
+            q = None
             if theta is not None:
                 try:
                     q = em.estep(*theta, n_iter)
-                    if q.ll >= p2.ll:
-                        p = q
                 except NumericalError:
-                    pass  # keep the plain EM point
+                    pass  # fall back to the plain EM point
+            p = q if q is not None and q.ll >= p1.ll else em.estep(*theta2, n_iter)
         history.append(p.ll)
         rel = (p.ll - p0.ll) / abs(p0.ll)
         streak = streak + 1 if abs(rel) < opts.rel_tolerance else 0

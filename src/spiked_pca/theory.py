@@ -19,15 +19,22 @@ import math
 from .errors import DomainError
 
 
+def _float(value):
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the double range
+        return math.inf if value > 0 else -math.inf
+
+
 def _positive(name, value):
-    value = float(value)
+    value = _float(value)
     if not 0 < value < math.inf:
         raise DomainError(f"{name} must be positive and finite, got {value}")
     return value
 
 
 def _rate(name, value):
-    value = float(value)
+    value = _float(value)
     if not 0.0 <= value <= 1.0:
         raise DomainError(f"{name} must lie in [0, 1], got {value}")
     return value

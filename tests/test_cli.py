@@ -147,6 +147,15 @@ def test_fully_masked_fit_fails_cleanly(tmp_path, capsys):
     assert "column" in capsys.readouterr().err
 
 
+def test_non_text_matrix_csv_is_a_format_error(tmp_path, capsys):
+    p = tmp_path / "binary.csv"
+    p.write_bytes(b"1.0,2.0\n\xff\xfe,3.0\n")
+    code = cli_main(["fit", "--k", "1", "--in", str(p),
+                     "--out", str(tmp_path / "model.csv")])
+    assert code == 1
+    assert str(p) in capsys.readouterr().err
+
+
 def test_mask_rejects_incomplete_input(tmp_path, capsys):
     p = tmp_path / "incomplete.csv"
     p.write_text("1.0,,2.0\n3.0,4.0,5.0\n")

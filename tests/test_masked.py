@@ -87,6 +87,14 @@ def test_center_column_with_missing_entry():
     assert not centered.mask[1, 0]
 
 
+def test_center_writes_zero_at_unobserved_entries():
+    values = np.array([[1.0, np.nan], [np.inf, 5.0], [3.0, 7.0]])
+    mask = np.array([[True, False], [False, True], [True, True]])
+    centered, mean = center_observed(MaskedMatrix(values, mask))
+    assert np.array_equal(mean, [2.0, 6.0])
+    assert np.array_equal(centered.values, [[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
+
+
 def test_center_already_centered_is_identity():
     x = MaskedMatrix.complete(np.array([[1.0, -2.0], [-1.0, 2.0]]))
     centered, mean = center_observed(x)

@@ -147,10 +147,10 @@ def test_fully_missing_rows_are_skipped_and_counted():
     ) >= 1.0 - 1e-9
 
 
-def reference_em(x, k, seed, iterations):
+def reference_em(x, start, iterations):
     """Observed-entry PPCA EM written one sample and one feature at a time.
 
-    Starts from the start documented in fit_ppca and returns the loadings,
+    Runs plain EM from ``start`` = (A0, sigma2_0) and returns the loadings,
     the noise variance and the log-likelihood before every iteration and
     after the last one, each computed from the |O| x |O| covariance of a
     sample's observed entries.
@@ -161,10 +161,8 @@ def reference_em(x, k, seed, iterations):
     Y = np.where(mask, x.values - mean, 0.0)
     obs = [np.flatnonzero(mask[i]) for i in range(n)]
     total_obs = mask.sum()
-    vbar = np.mean([(Y[:, j] ** 2).sum() / mask[:, j].sum() for j in range(d)])
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((d, k)) * np.sqrt(max(vbar, 1e-12) / np.sqrt(k * d))
-    sigma2 = max(vbar / 2.0, 1e-12)
+    A, sigma2 = start
+    k = A.shape[1]
 
     def loglik(A, sigma2):
         ll = 0.0
@@ -208,12 +206,24 @@ def reference_data(k):
     return MaskedMatrix(data, mask)
 
 
-def em_path(x, k, seed, steps):
-    """fit_ppca's random start followed by ``steps`` plain EM steps."""
+def random_start(em, k, seed):
+    """A scale-aware random start, the baseline for the spectral start.
+
+    Loading entries are i.i.d. normal with variance vbar / sqrt(k*D) and
+    the noise starts at half the average observed column variance vbar.
+    """
+    vbar = float(((em.Y ** 2).sum(axis=0) / em.W.sum(axis=0)).mean())
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((em.d, k)) * np.sqrt(max(vbar, 1e-12) / np.sqrt(k * em.d))
+    return em.estep(A, max(vbar / 2.0, 1e-12), 0)
+
+
+def em_path(x, k, seed, steps, start=_ObservedEm.start):
+    """fit_ppca's start followed by ``steps`` plain EM steps."""
     em = _ObservedEm(center_observed(x)[0])
-    path = [em.start(k, seed)]
+    path = [start(em, k, seed)]
     for it in range(steps):
-        path.append(em.step(path[-1], it))
+        path.append(em.estep(*em.mstep(path[-1], it), it + 1))
     return em, path
 
 
@@ -221,7 +231,7 @@ def em_path(x, k, seed, steps):
 def test_fit_matches_per_row_reference_em(k):
     x = reference_data(k)
     em, path = em_path(x, k, seed=92, steps=4)
-    A, sigma2, history = reference_em(x, k, seed=92, iterations=4)
+    A, sigma2, history = reference_em(x, path[0][:2], iterations=4)
     assert em.n_skipped == 1
     np.testing.assert_allclose(path[-1].A, A, rtol=1e-10)
     assert path[-1].sigma2 == pytest.approx(sigma2, rel=1e-10)
@@ -232,7 +242,8 @@ def test_fit_matches_per_row_reference_em(k):
 def test_fit_reaches_reference_em_fixed_point(k):
     # the plain reference EM settles to machine precision within ~60 steps
     x = reference_data(k)
-    A, sigma2, history = reference_em(x, k, seed=92, iterations=100)
+    _, (p0,) = em_path(x, k, seed=92, steps=0)
+    A, sigma2, history = reference_em(x, p0[:2], iterations=100)
     opts = FitOptions(k=k, seed=92, rel_tolerance=1e-12, max_iterations=10_000)
     model = fit_ppca(x, opts)
     assert model.converged and model.n_skipped_rows == 1
@@ -242,23 +253,26 @@ def test_fit_reaches_reference_em_fixed_point(k):
     assert model.log_likelihood >= history[-1] - 1e-12 * abs(history[-1])
 
 
-def test_rejected_extrapolation_keeps_plain_em_point():
-    # at this start the first extrapolated point has a lower log-likelihood
-    # than the second EM step, so the first cycle must keep that EM step
+def test_rejected_extrapolation_keeps_plain_em_point(monkeypatch):
+    # from this random start the first extrapolated point has a lower
+    # log-likelihood than the first EM step, so the first cycle must keep
+    # the second EM step
+    monkeypatch.setattr(_ObservedEm, "start", random_start)
     x = reference_data(2)
-    em, (p0, p1, p2) = em_path(x, 2, seed=99, steps=2)
-    A, sigma2 = _extrapolate(p0, p1, p2)
-    assert sigma2 > 1e-12 and em.estep(A, sigma2, 2).ll < p2.ll
-    capped = fit_ppca(x, FitOptions(k=2, seed=99, max_iterations=2))
+    em, (p0, p1, p2) = em_path(x, 2, seed=1, steps=2, start=random_start)
+    A, sigma2 = _extrapolate(p0[:2], p1[:2], p2[:2])
+    assert sigma2 > 1e-12 and em.estep(A, sigma2, 2).ll < p1.ll
+    capped = fit_ppca(x, FitOptions(k=2, seed=1, max_iterations=2))
     assert np.array_equal(capped.loadings, p2.A)
     assert capped.noise_variance == p2.sigma2
     assert capped.loglik_history.tolist() == [p0.ll, p2.ll]
-    h = fit_ppca(x, FitOptions(k=2, seed=99)).loglik_history
+    h = fit_ppca(x, FitOptions(k=2, seed=1)).loglik_history
     assert (np.diff(h) / np.abs(h[:-1])).min() >= -1e-12
 
 
 def test_failed_extrapolation_estep_keeps_plain_em_point(monkeypatch):
-    # E-steps of one cycle: the start, two EM steps, then the extrapolated point
+    # E-steps of one cycle: the start, the first EM step, then the
+    # extrapolated point; the second EM step gets one only as a fallback
     x = reference_data(2)
     _, (p0, _, p2) = em_path(x, 2, seed=92, steps=2)
     opts = FitOptions(k=2, seed=92, max_iterations=2)
@@ -266,17 +280,72 @@ def test_failed_extrapolation_estep_keeps_plain_em_point(monkeypatch):
     cholesky = np.linalg.cholesky
     calls = []
 
-    def fail_fourth(m):
+    def fail_third(m):
         calls.append(m)
-        if len(calls) == 4:
+        if len(calls) == 3:
             raise np.linalg.LinAlgError("injected")
         return cholesky(m)
 
-    monkeypatch.setattr(np.linalg, "cholesky", fail_fourth)
+    monkeypatch.setattr(np.linalg, "cholesky", fail_third)
     model = fit_ppca(x, opts)
     assert len(calls) == 4
     assert np.array_equal(model.loadings, p2.A)
     assert model.loglik_history.tolist() == [p0.ll, p2.ll]
+
+
+def test_accepted_cycle_runs_two_esteps(monkeypatch):
+    x = reference_data(2)
+    _, (_, p1, p2) = em_path(x, 2, seed=92, steps=2)
+    estep = _ObservedEm.estep
+    calls = []
+
+    def counting_estep(self, A, sigma2, iteration):
+        calls.append(iteration)
+        return estep(self, A, sigma2, iteration)
+
+    monkeypatch.setattr(_ObservedEm, "estep", counting_estep)
+    model = fit_ppca(x, FitOptions(k=2, seed=92, max_iterations=2))
+    assert calls == [0, 1, 2]  # the start, the first EM step, the extrapolated point
+    assert model.n_iterations == 2
+    assert model.log_likelihood >= p1.ll
+    assert not np.array_equal(model.loadings, p2.A)
+
+
+def test_spectral_start_matches_top_eigvec_complete():
+    gt, data = spiked(d=100, n=400, snr=12.0, k=2, seed=100)
+    _, (p0,) = em_path(MaskedMatrix.complete(data), 2, seed=5, steps=0)
+    assert subspace_r2(extract_directions(p0.A), top_eigvec_complete(data, 2)) >= 1.0 - 1e-10
+    # on complete data the start is the PPCA maximum-likelihood point
+    trailing = covariance_eigenvalues(data)[2:].mean()
+    assert p0.sigma2 == pytest.approx(trailing, rel=1e-10)
+
+
+@pytest.mark.parametrize("c", [0.1, 10.0])
+def test_spectral_start_is_scale_equivariant(c):
+    gt, data = spiked(d=60, n=150, snr=8.0, k=2, seed=110)
+    x = apply_mcar_mask(data, 0.5, seed=111)
+    _, (p0,) = em_path(x, 2, seed=112, steps=0)
+    _, (pc,) = em_path(MaskedMatrix(c * x.values, x.mask), 2, seed=112, steps=0)
+    np.testing.assert_allclose(pc.A, c * p0.A, rtol=1e-9, atol=1e-12 * c)
+    assert pc.sigma2 == pytest.approx(c * c * p0.sigma2, rel=1e-12)
+
+
+def test_spectral_start_not_below_random_start_on_low_snr_line(monkeypatch):
+    # (1 - m) S = 2 at m = 0.95, alpha = 2/3: above the transition, where
+    # EM has local optima. Over 120 probe repetitions the random start
+    # ended up to 91 nats lower, the spectral start at most 6.4 nats
+    # lower (in 25 of them), so neither start dominates every draw
+    opts = FitOptions(k=1, seed=120)
+    gains = []
+    for rep in range(6):
+        gt, data = spiked(d=600, n=400, snr=40.0, seed=130 + 2 * rep)
+        x = apply_mcar_mask(data, 0.95, seed=121 + rep)
+        with monkeypatch.context() as patch:
+            patch.setattr(_ObservedEm, "start", random_start)
+            baseline = fit_ppca(x, opts).log_likelihood
+        gains.append(fit_ppca(x, opts).log_likelihood - baseline)
+    assert min(gains) >= -10.0
+    assert sum(gains) > 0.0
 
 
 @pytest.mark.parametrize("max_iterations", [1, 2, 5])

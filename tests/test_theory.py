@@ -142,6 +142,10 @@ def test_theory_point_invariants():
         (theory_r2_complete, (float("inf"), 1.0)),
         (theory_r2_missing, (1.0, float("inf"), 0.5)),
         (critical_alpha, (float("inf"), 0.5)),
+        (theory_r2_complete, (10**400, 1.0)),
+        (theory_r2_complete, (1.0, -(10**400))),
+        (theory_r2_missing, (1.0, 1.0, 10**400)),
+        (critical_missing_rate, (10**400, 1.0)),
     ],
 )
 def test_domain_errors(func, args):
