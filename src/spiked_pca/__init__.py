@@ -42,14 +42,9 @@ from .metrics import (
     covariance_eigenvalues,
     estimate_snr,
     r_squared,
-)
-from .ppca import (
-    FitOptions,
-    PpcaModel,
-    extract_directions,
-    fit_ppca,
     top_eigvec_complete,
 )
+from .ppca import FitOptions, PpcaModel, extract_directions, fit_ppca
 from .synthetic import GroundTruth, make_ground_truth, sample_dataset
 from .theory import (
     asymptotic_r2,

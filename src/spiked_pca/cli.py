@@ -51,10 +51,7 @@ def _cmd_theory(args):
         r2 = theory_r2_missing(args.alpha, args.snr, args.missing)
     _print_kv("predicted_r2", r2)
     _print_kv("m_crit", critical_missing_rate(args.alpha, args.snr))
-    if args.missing < 1.0:
-        _print_kv("alpha_crit", critical_alpha(args.snr, args.missing))
-    else:
-        _print_kv("alpha_crit", "inf")
+    _print_kv("alpha_crit", critical_alpha(args.snr, args.missing))
     return 0
 
 
@@ -81,9 +78,7 @@ def _cmd_generate(args):
 
 def _cmd_mask(args):
     x = read_masked_csv(args.infile)
-    if not x.mask.all():
-        raise DomainError(f"{args.infile}: input already has missing entries")
-    masked = apply_mcar_mask(x.values, args.rate, args.seed)
+    masked = apply_mcar_mask(x, args.rate, args.seed)
     write_masked_csv(masked, args.out)
     print(f"wrote masked matrix to {args.out}")
     return 0
@@ -109,11 +104,7 @@ def _cmd_fit(args):
 
 def _cmd_snr(args):
     x = read_masked_csv(args.infile)
-    if not x.mask.all():
-        raise DomainError(
-            f"{args.infile}: signal-to-noise estimation needs complete data"
-        )
-    estimate = estimate_snr(covariance_eigenvalues(x.values), args.k)
+    estimate = estimate_snr(covariance_eigenvalues(x), args.k)
     _print_kv("noise_variance_hat", estimate.noise_variance_hat)
     for i, s in enumerate(estimate.snr_per_component, start=1):
         _print_kv(f"S_{i}", float(s))

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and its integer check."""
+
+import numbers
 
 
 class SpikedPcaError(Exception):
@@ -27,3 +29,14 @@ class FormatError(SpikedPcaError, ValueError):
 
 class NumericalError(SpikedPcaError, RuntimeError):
     """A numerical procedure produced non-finite values or failed to factorize."""
+
+
+def check_integer(name, value, low):
+    """Raise DomainError unless ``value`` is an integer, not a bool, >= ``low``.
+
+    Counts and seeds share this rule.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise DomainError(f"{name} must be >= {low}, got {value}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, SpikedPcaError
+from .errors import DomainError, SpikedPcaError, check_integer
 from .masked import apply_mcar_mask
 from .metrics import add_isotropic_noise, component_r2
 from .ppca import FitOptions, extract_directions, fit_ppca
@@ -79,10 +79,8 @@ class ExperimentConfig:
         object.__setattr__(self, "grid", grid)
         norms = tuple(float(v) for v in self.norms)
         object.__setattr__(self, "norms", norms)
-        if self.repetitions < 1:
-            raise DomainError(f"repetitions must be >= 1, got {self.repetitions}")
-        if self.n < 2 or self.d < 2:
-            raise DomainError(f"need n, d >= 2, got n={self.n}, d={self.d}")
+        for name, low in (("n", 2), ("d", 2), ("repetitions", 1)):
+            check_integer(name, getattr(self, name), low)
         if not 0.0 <= self.fixed_missing_rate <= 1.0:
             raise DomainError(
                 f"fixed_missing_rate must lie in [0, 1], got {self.fixed_missing_rate}"

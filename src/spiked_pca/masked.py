@@ -5,12 +5,12 @@ inside the value array; external formats that use sentinels (empty CSV
 cells, NaN tokens) are converted at the I/O boundary.
 """
 
-import numbers
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateColumnError, DomainError
+from .errors import DegenerateColumnError, DomainError, NumericalError, check_integer
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,23 @@ class MaskedMatrix:
         return cls(data, np.ones(data.shape, dtype=bool))
 
 
+def complete_values(x):
+    """The finite 2-d float values of an array or fully observed MaskedMatrix.
+
+    Anything else raises DomainError. Copies only to convert to float.
+    """
+    if isinstance(x, MaskedMatrix):
+        if not x.mask.all():
+            raise DomainError("input has missing entries; complete data is required")
+        x = x.values
+    values = np.asarray(x, dtype=float)
+    if values.ndim != 2:
+        raise DomainError(f"expected a 2-d matrix, got ndim={values.ndim}")
+    if not np.isfinite(values).all():
+        raise DomainError("input matrix must be finite")
+    return values
+
+
 def apply_mcar_mask(data, m, seed):
     """Hide each entry independently with probability ``m``.
 
@@ -64,15 +81,10 @@ def apply_mcar_mask(data, m, seed):
     always produce a bit-identical mask. Observed entries keep their
     original values.
     """
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 2:
-        raise DomainError(f"expected a 2-d matrix, got ndim={data.ndim}")
+    data = complete_values(data)
     if not 0.0 <= m <= 1.0:
         raise DomainError(f"missing rate must lie in [0, 1], got {m}")
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
-    if not np.all(np.isfinite(data)):
-        raise DomainError("input matrix must be finite")
+    check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     # uniforms are in [0, 1), so m = 0 observes everything and m = 1 nothing
     observed = rng.random(data.shape) >= m
@@ -86,7 +98,8 @@ def center_observed(x):
     0, and the mean vector needed to invert the transform. A column with
     no observed entries has no mean and raises
     :class:`DegenerateColumnError`; a non-finite observed value raises
-    :class:`DomainError`.
+    :class:`DomainError`, and finite values whose centering overflows raise
+    :class:`NumericalError`.
     """
     counts = x.mask.sum(axis=0)
     empty = np.flatnonzero(counts == 0)
@@ -95,8 +108,13 @@ def center_observed(x):
     centered = np.where(x.mask, x.values, 0.0)
     if not np.isfinite(centered).all():
         raise DomainError("observed entries must be finite")
-    mean = centered.sum(axis=0) / counts
-    np.subtract(centered, mean, out=centered, where=x.mask)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = centered.sum(axis=0) / counts
+        np.subtract(centered, mean, out=centered, where=x.mask)
+        # the sum is non-finite if a mean or a centered entry is, and
+        # overflows only where the fit's squares would too
+        if not math.isfinite(centered.sum()):
+            raise NumericalError("centered data not finite: the data overflow")
     return MaskedMatrix(centered, x.mask), mean
 
 

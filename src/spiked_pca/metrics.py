@@ -8,13 +8,12 @@ of it.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, DomainError, NumericalError
-from .masked import MaskedMatrix
+from .errors import DegenerateSpectrumError, DomainError, NumericalError, check_integer
+from .masked import MaskedMatrix, complete_values
 
 
 @dataclass(frozen=True)
@@ -56,39 +55,58 @@ def component_r2(fitted, truth):
     return np.array([r_squared(U[:, i], A[:, i]) for i in range(U.shape[1])])
 
 
+def _centered_svd(values, compute_uv):
+    """Thin SVD of the column-centered data; NumericalError if it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = values - values.mean(axis=0)
+        # the sum is non-finite if an entry is, and overflows only where
+        # the squared singular values would too; it needs no N x D mask
+        if not math.isfinite(centered.sum()):
+            raise NumericalError("centered data not finite: the data overflow")
+    return np.linalg.svd(centered, full_matrices=False, compute_uv=compute_uv)
+
+
 def covariance_eigenvalues(x):
     """All D eigenvalues, descending, of the empirical covariance.
 
     The covariance is (1/N) X_c^T X_c with X_c the column-centered data;
     when N < D the spectrum is padded with exact zeros.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise DomainError("expected a 2-d matrix")
-    if not np.isfinite(x).all():
-        raise DomainError("input matrix must be finite")
-    n, d = x.shape
+    values = complete_values(x)
+    n, d = values.shape
     lam = np.zeros(d)
-    with np.errstate(over="ignore", invalid="ignore"):
-        centered = x - x.mean(axis=0)
-        # the sum is non-finite if an entry is, and overflows only where
-        # the squared singular values would too; it needs no N x D mask
-        if not math.isfinite(centered.sum()):
-            raise NumericalError("centered data not finite: the data overflow")
-        s = np.linalg.svd(centered, compute_uv=False)
+    s = _centered_svd(values, compute_uv=False)
+    with np.errstate(over="ignore"):
         lam[: s.size] = s ** 2 / n
     if not np.isfinite(lam).all():
         raise NumericalError("covariance eigenvalues not finite: the data overflow")
     return lam
 
 
+def top_eigvec_complete(x, k):
+    """Top-k eigenvectors of the empirical covariance of complete data.
+
+    Columns are eigenvectors of (1/N) sum_n x_n x_n^T after centering,
+    in descending eigenvalue order. This is the spectral reference the
+    EM fit must agree with when nothing is missing.
+    """
+    values = complete_values(x)
+    n, d = values.shape
+    if n < 2:
+        raise DomainError(f"need at least two samples, got {n}")
+    if not 1 <= k <= min(n, d):
+        raise DomainError(f"need 1 <= k <= min(N, D), got k={k}")
+    _, _, vt = _centered_svd(values, compute_uv=True)
+    return vt[:k].T
+
+
 def estimate_snr(eigenvalues, k):
     """Estimate the noise floor and leading signal-to-noise ratios.
 
     sigma2_hat is the mean of the trailing D - k eigenvalues and
-    S_i = (lambda_i - sigma2_hat) / sigma2_hat for i <= k. Sampling noise
-    can push an estimate below zero; such values are floored at 0 with a
-    warning since a negative ratio has no meaning downstream.
+    S_i = (lambda_i - sigma2_hat) / sigma2_hat for i <= k. Sorted input
+    keeps every S_i at or above 0 up to rounding; estimates are floored
+    at 0, since a negative ratio has no meaning downstream.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.ndim != 1:
@@ -96,6 +114,8 @@ def estimate_snr(eigenvalues, k):
     d = lam.size
     if not 1 <= k < d:
         raise DomainError(f"need 1 <= k < D, got k={k}, D={d}")
+    if not np.isfinite(lam).all():
+        raise DomainError("eigenvalues must be finite")
     if np.any(lam < 0):
         raise DomainError("eigenvalues must be nonnegative")
     if np.any(np.diff(lam) > 0):
@@ -103,10 +123,7 @@ def estimate_snr(eigenvalues, k):
     sigma2_hat = float(lam[k:].mean())
     if sigma2_hat == 0.0:
         raise DegenerateSpectrumError("trailing eigenvalues are all zero")
-    snr = (lam[:k] - sigma2_hat) / sigma2_hat
-    if np.any(snr < 0):
-        warnings.warn("negative signal-to-noise estimate floored at 0", RuntimeWarning)
-        snr = np.maximum(snr, 0.0)
+    snr = np.maximum((lam[:k] - sigma2_hat) / sigma2_hat, 0.0)
     return SnrEstimate(sigma2_hat, snr)
 
 
@@ -120,6 +137,7 @@ def add_isotropic_noise(x, sigma2_added, seed):
     """
     if not 0 <= sigma2_added < math.inf:
         raise DomainError(f"added variance must be finite and nonnegative, got {sigma2_added}")
+    check_integer("seed", seed, 0)
     if sigma2_added == 0:
         return MaskedMatrix(x.values, x.mask)
     rng = np.random.default_rng(seed)

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, check_integer
 from .masked import center_observed
 
 SIGMA2_FLOOR = 1e-12
@@ -41,13 +41,8 @@ class FitOptions:
     seed: int = 0
 
     def __post_init__(self):
-        lows = (("k", 1), ("max_iterations", 1), ("seed", 0))
-        for name, low in lows:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise DomainError(f"{name} must be >= {low}, got {value}")
+        for name, low in (("k", 1), ("max_iterations", 1), ("seed", 0)):
+            check_integer(name, getattr(self, name), low)
         if not (
             isinstance(self.rel_tolerance, numbers.Real)
             and 0 < self.rel_tolerance < math.inf
@@ -318,28 +313,3 @@ def extract_directions(model):
         )
         return U[:, :rank]
     return U
-
-
-def top_eigvec_complete(x, k):
-    """Top-k eigenvectors of the empirical covariance of complete data.
-
-    Columns are eigenvectors of (1/N) sum_n x_n x_n^T after centering,
-    in descending eigenvalue order. This is the spectral reference the
-    EM fit must agree with when nothing is missing.
-    """
-    values = x
-    if hasattr(x, "mask"):
-        if not x.mask.all():
-            raise DomainError("input must be fully observed")
-        values = x.values
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2:
-        raise DomainError("expected a 2-d matrix")
-    n, d = values.shape
-    if n < 2:
-        raise DomainError(f"need at least two samples, got {n}")
-    if not 1 <= k <= min(n, d):
-        raise DomainError(f"need 1 <= k <= min(N, D), got k={k}")
-    centered = values - values.mean(axis=0)
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    return vt[:k].T

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_integer
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,7 @@ def make_ground_truth(d, norms, noise_variance, seed):
         raise DomainError(f"need D > k, got D={d}, k={k}")
     if not noise_variance > 0:
         raise DomainError(f"noise variance must be positive, got {noise_variance}")
+    check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((int(d), k))
     q, _ = np.linalg.qr(raw)
@@ -84,9 +85,8 @@ def sample_dataset(gt, n, seed):
     Latents are drawn first, noise second, so the output is a pure
     function of (gt, n, seed).
     """
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
+    check_integer("n", n, 1)
+    check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, gt.n_components))
     eps = rng.standard_normal((n, gt.n_features))

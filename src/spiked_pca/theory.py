@@ -99,13 +99,11 @@ def critical_alpha(snr, m):
     """Sample ratio below which the predicted alignment is zero.
 
     Returns 1 / ((1 - m) * snr)^2, which is 0 where the square overflows
-    and inf where it underflows. No finite sample ratio suffices at m = 1,
-    which is rejected.
+    and inf where it underflows or m = 1, where no finite sample ratio
+    suffices.
     """
     snr = _positive("snr", snr)
-    m = float(m)
-    if not 0.0 <= m < 1.0:
-        raise DomainError(f"m must lie in [0, 1), got {m}")
+    m = _rate("m", m)
     try:
         return 1.0 / ((1.0 - m) * snr) ** 2
     except OverflowError:

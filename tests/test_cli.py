@@ -70,6 +70,9 @@ def test_theory_nonfinite_input_exit_code(capsys, args):
         # alpha_crit's square underflows: no double sample ratio suffices
         pytest.param(["--alpha", "1e-300", "--snr", "1e-200"], 0.0, float("inf"),
                      id="underflow"),
+        # nothing is observed at m = 1
+        pytest.param(["--alpha", "1", "--snr", "2", "--missing", "1"], 0.0, float("inf"),
+                     id="missing-one"),
     ],
 )
 def test_theory_extreme_finite_input(capsys, args, r2, alpha_crit):
@@ -162,6 +165,10 @@ def test_mask_rejects_incomplete_input(tmp_path, capsys):
     code = cli_main(["mask", "--rate", "0.5", "--seed", "1",
                      "--in", str(p), "--out", str(tmp_path / "out.csv")])
     assert code == 1
+    assert "missing entries" in capsys.readouterr().err
+    # snr needs complete data too
+    assert cli_main(["snr", "--k", "1", "--in", str(p)]) == 1
+    assert "missing entries" in capsys.readouterr().err
 
 
 def test_generate_and_mask_deterministic_output_bytes(tmp_path):
@@ -179,7 +186,6 @@ def test_generate_and_mask_deterministic_output_bytes(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_numerical_failure_exit_code(tmp_path, capsys):
     p = tmp_path / "huge.csv"
     rows = ["1e308," * 3 + "1e308" for _ in range(8)]
@@ -188,6 +194,8 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     code = cli_main(["fit", "--k", "1", "--in", str(p),
                      "--out", str(tmp_path / "model.csv")])
     assert code == 2
+    # the column sums overflow while the observed mean is taken
+    assert "overflow" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -253,6 +261,22 @@ def test_negative_seed_exit_code(tmp_path, monkeypatch, capsys, command):
     p.write_text("1.0,2.0,3.0\n4.0,5.0,6.0\n7.0,8.0,10.0\n1.5,2.5,3.5\n")
     assert cli_main(command + ["--seed", "-1", "--in", str(p)]) == 1
     assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["fit", "--k", "1", "--out", "model.csv", "--in"],
+        ["mask", "--rate", "0.3", "--seed", "1", "--out", "masked.csv", "--in"],
+        ["snr", "--k", "1", "--in"],
+        ["experiment", "--out", "curve.csv", "--config"],
+    ],
+    ids=["fit", "mask", "snr", "experiment"],
+)
+def test_unreadable_input_exit_code(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(command + [str(tmp_path / "absent.csv")]) == 1
+    assert "absent.csv" in capsys.readouterr().err
 
 
 EXPERIMENT_CONFIG = """

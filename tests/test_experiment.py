@@ -89,12 +89,23 @@ def test_config_validation():
         small_config(fit=FitOptions(k=3))
     with pytest.raises(DomainError):
         small_config(fixed_missing_rate=1.5)
+    for bad in (dict(n=1), dict(d=1), dict(n=40.5), dict(d=True), dict(repetitions=1.5)):
+        with pytest.raises(DomainError):
+            small_config(**bad)
 
 
 def test_sweep_kind_mismatch_rejected():
     cfg = small_config()
     with pytest.raises(DomainError):
         run_snr_sweep(cfg)
+    with pytest.raises(DomainError, match="sweep kind"):
+        run_missing_rate_sweep(small_config(sweep_kind="snr_via_added_noise"))
+
+
+def test_missing_sweep_rejects_rates_outside_unit_interval():
+    for grid in [(-0.1, 0.5), (0.5, 1.5)]:
+        with pytest.raises(DomainError, match="inside"):
+            run_missing_rate_sweep(small_config(grid=grid))
 
 
 def test_missing_sweep_record_counts():

@@ -256,6 +256,12 @@ def test_read_experiment_config_errors(tmp_path):
     p.write_text(CONFIG_TEXT.replace("n = 60", "n = sixty"))
     with pytest.raises(FormatError):
         read_experiment_config(str(p))
+    p.write_text(CONFIG_TEXT.replace("linspace(0, 0.8, 5)", "linspace(0, 0.8)"))
+    with pytest.raises(FormatError, match="linspace"):
+        read_experiment_config(str(p))
+    p.write_text("not an ini file\n")
+    with pytest.raises(FormatError, match="section"):
+        read_experiment_config(str(p))
     # unknown keys, a typo or a key that is no longer read, are errors
     for line in ("max_iteration = 2", "k = 2", "tolerance_streak = 3"):
         p.write_text(CONFIG_TEXT + line + "\n")

@@ -5,6 +5,7 @@ from spiked_pca import (
     DegenerateColumnError,
     DomainError,
     MaskedMatrix,
+    NumericalError,
     apply_mcar_mask,
     center_observed,
     observed_fraction,
@@ -121,6 +122,17 @@ def test_center_rejects_nonfinite_observed_values():
     mask[0, 1] = mask[2, 0] = False
     _, mean = center_observed(MaskedMatrix(values, mask))
     assert np.array_equal(mean, [1.5, 3.5])
+
+
+@pytest.mark.parametrize(
+    "column",
+    [[-1e308] + [1e308] * 7, [-1.7e308, 1.7e308, 0.5e308, 0.3e308]],
+    ids=["mean", "subtraction"],
+)
+def test_center_overflow_is_a_numerical_error(column):
+    values = np.column_stack([column, np.arange(len(column), dtype=float)])
+    with pytest.raises(NumericalError, match="overflow"):
+        center_observed(MaskedMatrix.complete(values))
 
 
 def test_center_roundtrip_restores_observed_values():

@@ -4,6 +4,8 @@ import pytest
 from spiked_pca import (
     DegenerateSpectrumError,
     DomainError,
+    MaskedMatrix,
+    NumericalError,
     add_isotropic_noise,
     apply_mcar_mask,
     component_r2,
@@ -12,6 +14,7 @@ from spiked_pca import (
     make_ground_truth,
     r_squared,
     sample_dataset,
+    top_eigvec_complete,
 )
 
 
@@ -74,6 +77,8 @@ def test_estimate_snr_never_negative():
         lam = np.sort(rng.uniform(0.0, 3.0, size=12))[::-1]
         est = estimate_snr(lam, int(rng.integers(1, 4)))
         assert np.all(est.snr_per_component >= 0.0)
+    # a flat spectrum's trailing mean rounds above lambda_1; the clamp is silent
+    assert estimate_snr([0.1] * 4, 1).snr_per_component[0] == 0.0
 
 
 def test_estimate_snr_validation():
@@ -85,6 +90,9 @@ def test_estimate_snr_validation():
         estimate_snr([3.0, -1.0, 1.0], 1)
     with pytest.raises(DegenerateSpectrumError):
         estimate_snr([3.0, 0.0, 0.0], 1)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError, match="finite"):
+            estimate_snr([bad, 2.0, 1.0], 1)
 
 
 def test_add_zero_noise_is_identity():
@@ -109,6 +117,13 @@ def test_add_noise_rejects_negative_variance():
     for bad in (-0.1, float("nan"), float("inf")):
         with pytest.raises(DomainError):
             add_isotropic_noise(x, bad, seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True], ids=["negative", "float", "bool"])
+def test_add_noise_rejects_invalid_seed(seed):
+    x = apply_mcar_mask(np.zeros((2, 2)), 0.0, seed=0)
+    with pytest.raises(DomainError, match="seed"):
+        add_isotropic_noise(x, 0.1, seed=seed)
 
 
 def test_added_noise_yields_expected_snr():
@@ -152,3 +167,32 @@ def test_covariance_eigenvalues_match_direct_computation():
     centered = data - data.mean(axis=0)
     direct = np.linalg.eigvalsh(centered.T @ centered / 40)[::-1]
     assert covariance_eigenvalues(data) == pytest.approx(direct, abs=1e-10)
+
+
+def test_complete_data_spectrum_validation():
+    data = np.random.default_rng(18).normal(size=(6, 4))
+    incomplete = apply_mcar_mask(data, 0.5, seed=2)
+    nonfinite = data.copy()
+    nonfinite[1, 2] = np.inf
+    for func in (covariance_eigenvalues, lambda x: top_eigvec_complete(x, 1)):
+        with pytest.raises(DomainError, match="missing entries"):
+            func(incomplete)
+        with pytest.raises(DomainError, match="finite"):
+            func(nonfinite)
+        with pytest.raises(DomainError, match="2-d"):
+            func(data[0])
+        # finite entries whose centering overflows
+        with pytest.raises(NumericalError, match="overflow"):
+            func(np.array([[1e308, 0.0], [1e308, 1.0], [-1e308, 2.0]]))
+    complete = MaskedMatrix.complete(data)
+    assert np.array_equal(covariance_eigenvalues(complete), covariance_eigenvalues(data))
+    assert np.array_equal(top_eigvec_complete(complete, 2), top_eigvec_complete(data, 2))
+
+
+def test_top_eigvec_complete_rejects_bad_sizes():
+    data = np.random.default_rng(19).normal(size=(6, 4))
+    with pytest.raises(DomainError, match="two samples"):
+        top_eigvec_complete(data[:1], 1)
+    for k in (0, 5):
+        with pytest.raises(DomainError, match="k="):
+            top_eigvec_complete(data, k)

@@ -101,3 +101,14 @@ def test_rejects_nonpositive_sample_count():
     gt = make_ground_truth(10, [1.0], 0.1, seed=16)
     with pytest.raises(DomainError):
         sample_dataset(gt, 0, seed=17)
+    with pytest.raises(DomainError, match="integer"):
+        sample_dataset(gt, 40.5, seed=17)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True], ids=["negative", "float", "bool"])
+def test_rejects_invalid_seed(seed):
+    with pytest.raises(DomainError, match="seed"):
+        make_ground_truth(10, [1.0], 0.1, seed=seed)
+    gt = make_ground_truth(10, [1.0], 0.1, seed=16)
+    with pytest.raises(DomainError, match="seed"):
+        sample_dataset(gt, 5, seed=seed)

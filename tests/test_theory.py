@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -54,8 +56,8 @@ def test_critical_alpha_values():
     assert critical_alpha(1.0, 0.0) == 1.0
     assert critical_alpha(5.0, 0.5) == pytest.approx(0.16, abs=1e-12)
     assert critical_alpha(20.0, 0.0) == pytest.approx(0.0025, abs=1e-15)
-    with pytest.raises(DomainError):
-        critical_alpha(5.0, 1.0)
+    # nothing is observed at m = 1, so no finite sample ratio suffices
+    assert critical_alpha(5.0, 1.0) == math.inf
 
 
 def test_asymptotic_expansion_values():
@@ -146,6 +148,8 @@ def test_theory_point_invariants():
         (theory_r2_complete, (1.0, -(10**400))),
         (theory_r2_missing, (1.0, 1.0, 10**400)),
         (critical_missing_rate, (10**400, 1.0)),
+        (critical_alpha, (1.0, 10**400)),
+        (critical_alpha, (1.0, 1.5)),
     ],
 )
 def test_domain_errors(func, args):
