@@ -26,7 +26,6 @@ from .experiment import (
     run_snr_sweep,
 )
 from .fileio import (
-    read_curve_csv,
     read_experiment_config,
     read_masked_csv,
     write_curve_csv,
@@ -89,7 +88,6 @@ __all__ = [
     "make_ground_truth",
     "observed_fraction",
     "r_squared",
-    "read_curve_csv",
     "read_experiment_config",
     "read_masked_csv",
     "run_missing_rate_sweep",

@@ -79,7 +79,7 @@ class ExperimentConfig:
         object.__setattr__(self, "grid", grid)
         norms = tuple(float(v) for v in self.norms)
         object.__setattr__(self, "norms", norms)
-        for name, low in (("n", 2), ("d", 2), ("repetitions", 1)):
+        for name, low in (("n", 2), ("d", 2), ("repetitions", 1), ("base_seed", 0)):
             check_integer(name, getattr(self, name), low)
         if not 0.0 <= self.fixed_missing_rate <= 1.0:
             raise DomainError(

@@ -14,7 +14,7 @@ import re
 import numpy as np
 
 from .errors import DomainError, FormatError
-from .experiment import CurveRecord, ExperimentConfig
+from .experiment import ExperimentConfig
 from .masked import MaskedMatrix
 from .ppca import FitOptions
 
@@ -33,7 +33,9 @@ def _fmt(value):
     return format(float(value), ".6g")
 
 
-_BLANK_CELL = re.compile(r"(?<![^,])\s*(?![^,])")  # an empty or whitespace-only cell
+# an empty or whitespace-only cell, from its leading comma; the reader
+# prepends one comma so that the first cell has one too
+_BLANK_CELL = re.compile(r",\s*(?=,|$)")
 _NUMPY_CELL = re.compile(r"at row (\d+), column (\d+)")
 
 
@@ -48,7 +50,9 @@ def read_masked_csv(path):
     try:
         with open(path) as handle:
             # a one-column row whose entry is missing is written as a blank line
-            lines = [_BLANK_CELL.sub("nan", line.rstrip("\n")) for line in handle]
+            lines = [
+                _BLANK_CELL.sub(",nan", "," + line.rstrip("\n"))[1:] for line in handle
+            ]
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not text: {exc.reason} at byte {exc.start}") from None
     if not lines:
@@ -73,11 +77,19 @@ def read_masked_csv(path):
 
 
 def write_masked_csv(x, path):
-    """Write a MaskedMatrix; unobserved entries become empty cells."""
+    """Write a MaskedMatrix; unobserved entries become empty cells.
+
+    Observed values are written as ``format(v, ".6g")`` would write them.
+    An observed NaN is written as an empty cell too, so it reads back as
+    missing.
+    """
+    # one format call per row: unobserved cells print as nan, which no
+    # finite or infinite value contains, and are then blanked
+    row_format = ",".join(["%.6g"] * x.n_cols) + "\n"
     with open(path, "w", newline="\n") as handle:
         for row_values, row_mask in zip(x.values, x.mask):
-            cells = [_fmt(v) if ok else "" for v, ok in zip(row_values, row_mask)]
-            handle.write(",".join(cells) + "\n")
+            cells = tuple(np.where(row_mask, row_values, np.nan).tolist())
+            handle.write((row_format % cells).replace("nan", ""))
 
 
 def write_curve_csv(records, path, summary=None):
@@ -100,37 +112,6 @@ def write_curve_csv(records, path, summary=None):
             )
         if summary:
             handle.write(f"# {summary}\n")
-
-
-def read_curve_csv(path):
-    """Read back a curve CSV written by :func:`write_curve_csv`."""
-    records = []
-    with open(path, newline="") as handle:
-        header = handle.readline().strip()
-        if header.split(",") != list(CURVE_COLUMNS):
-            raise FormatError(f"{path}: unexpected header {header!r}")
-        for line_no, line in enumerate(handle, start=2):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            cells = line.split(",")
-            if len(cells) != len(CURVE_COLUMNS):
-                raise FormatError(f"{path}: line {line_no} has {len(cells)} cells")
-            try:
-                records.append(
-                    CurveRecord(
-                        sweep_value=float(cells[0]),
-                        component=int(cells[1]),
-                        r2_mean=float(cells[2]),
-                        r2_std=float(cells[3]),
-                        n_reps=int(cells[4]),
-                        theory_r2=float(cells[5]),
-                        theory_alt_r2=float(cells[6]),
-                    )
-                )
-            except ValueError:
-                raise FormatError(f"{path}: cannot parse line {line_no}") from None
-    return records
 
 
 def write_ground_truth_csv(gt, path, seed):

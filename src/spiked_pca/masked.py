@@ -95,7 +95,7 @@ def center_observed(x):
     """Subtract per-column observed means from the observed entries.
 
     Returns the centered matrix, whose unobserved entries are written as
-    0, and the mean vector needed to invert the transform. A column with
+    0 of either sign, and the mean vector needed to invert the transform. A column with
     no observed entries has no mean and raises
     :class:`DegenerateColumnError`; a non-finite observed value raises
     :class:`DomainError`, and finite values whose centering overflows raise
@@ -110,7 +110,8 @@ def center_observed(x):
         raise DomainError("observed entries must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
         mean = centered.sum(axis=0) / counts
-        np.subtract(centered, mean, out=centered, where=x.mask)
+        centered -= mean
+        centered *= x.mask  # unobserved entries back to (signed) zero
         # the sum is non-finite if a mean or a centered entry is, and
         # overflows only where the fit's squares would too
         if not math.isfinite(centered.sum()):

@@ -141,5 +141,9 @@ def add_isotropic_noise(x, sigma2_added, seed):
     if sigma2_added == 0:
         return MaskedMatrix(x.values, x.mask)
     rng = np.random.default_rng(seed)
-    noise = math.sqrt(sigma2_added) * rng.standard_normal(x.values.shape)
-    return MaskedMatrix(np.where(x.mask, x.values + noise, x.values), x.mask)
+    # built in place, one n x d array: zero noise where unobserved
+    noisy = rng.standard_normal(x.values.shape)
+    noisy *= math.sqrt(sigma2_added)
+    noisy *= x.mask
+    noisy += x.values
+    return MaskedMatrix(noisy, x.mask)

@@ -59,6 +59,7 @@ def make_ground_truth(d, norms, noise_variance, seed):
     orthonormalized before rescaling, which keeps the per-component
     curves well defined. Norms are sorted descending.
     """
+    check_integer("d", d, 1)
     norms = np.asarray(norms, dtype=float)
     if norms.ndim != 1 or norms.size < 1:
         raise DomainError("norms must be a nonempty 1-d sequence")
@@ -72,7 +73,7 @@ def make_ground_truth(d, norms, noise_variance, seed):
         raise DomainError(f"noise variance must be positive, got {noise_variance}")
     check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((int(d), k))
+    raw = rng.standard_normal((d, k))
     q, _ = np.linalg.qr(raw)
     directions = q * norms
     snr = norms ** 2 / noise_variance

@@ -94,6 +94,14 @@ def test_config_validation():
             small_config(**bad)
 
 
+@pytest.mark.parametrize("seed", [1.5, -1, True], ids=["float", "negative", "bool"])
+def test_config_rejects_invalid_base_seed(seed):
+    # the cell seeds are derived from an integer, so a float would run as
+    # another seed than the one the config reports
+    with pytest.raises(DomainError, match="base_seed"):
+        small_config(base_seed=seed)
+
+
 def test_sweep_kind_mismatch_rejected():
     cfg = small_config()
     with pytest.raises(DomainError):

@@ -96,6 +96,16 @@ def test_center_writes_zero_at_unobserved_entries():
     assert np.array_equal(centered.values, [[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
 
 
+def test_center_matches_masked_subtraction():
+    # the observed entries are exactly value - mean, the others zero
+    rng = np.random.default_rng(12)
+    x = apply_mcar_mask(rng.normal(size=(30, 20)) * 5 + 2, 0.4, seed=13)
+    centered, mean = center_observed(x)
+    observed = np.where(x.mask, x.values, 0.0)
+    assert np.array_equal(mean, observed.sum(axis=0) / x.mask.sum(axis=0))
+    assert np.array_equal(centered.values, np.where(x.mask, x.values - mean, 0.0))
+
+
 def test_center_already_centered_is_identity():
     x = MaskedMatrix.complete(np.array([[1.0, -2.0], [-1.0, 2.0]]))
     centered, mean = center_observed(x)

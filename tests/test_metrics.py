@@ -112,6 +112,15 @@ def test_add_noise_preserves_mask_and_missing_entries():
     assert np.array_equal(again.values, y.values)
 
 
+def test_add_noise_matches_masked_sum():
+    # the noise draw is scaled by the standard deviation and added to the
+    # observed entries only, bit for bit
+    x = apply_mcar_mask(np.random.default_rng(14).normal(size=(30, 15)), 0.4, seed=15)
+    y = add_isotropic_noise(x, 0.3, seed=16)
+    noise = np.sqrt(0.3) * np.random.default_rng(16).standard_normal(x.values.shape)
+    assert np.array_equal(y.values, np.where(x.mask, x.values + noise, x.values))
+
+
 def test_add_noise_rejects_negative_variance():
     x = apply_mcar_mask(np.zeros((2, 2)), 0.0, seed=0)
     for bad in (-0.1, float("nan"), float("inf")):

@@ -48,6 +48,12 @@ def test_rejects_bad_dimensions():
         make_ground_truth(10, [1.0], 0.0, seed=0)
 
 
+@pytest.mark.parametrize("d", [10.7, 10.0, True], ids=["fraction", "float", "bool"])
+def test_rejects_non_integer_dimension(d):
+    with pytest.raises(DomainError, match="d must be an integer"):
+        make_ground_truth(d, [1.0], 0.1, seed=0)
+
+
 def test_noiseless_rows_lie_on_the_signal_line():
     gt = make_ground_truth(30, [1.0], 1e-30, seed=5)
     data = sample_dataset(gt, 50, seed=6)
