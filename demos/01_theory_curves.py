@@ -9,7 +9,6 @@ S(m) = (1 - m) S. Below alpha * S(m)^2 = 1 nothing is learned at all.
 import numpy as np
 
 from spiked_pca import (
-    asymptotic_r2,
     critical_alpha,
     critical_missing_rate,
     theory_r2_complete,
@@ -35,14 +34,6 @@ print("the transition is continuous: R^2 just above threshold stays tiny")
 for eps in (1e-3, 1e-6, 1e-9):
     a = (1 + eps) / snr**2
     print(f"  alpha * S^2 = 1 + {eps:g}  ->  R^2 = {theory_r2_complete(a, snr):.3e}")
-print()
-
-print("large-sample expansion vs the exact curve:")
-for a in (10.0, 100.0, 1000.0):
-    exact = theory_r2_complete(a, snr)
-    approx = asymptotic_r2(a, snr)
-    print(f"  alpha = {a:6.0f}: exact {exact:.6f}  expansion {approx:.6f}  "
-          f"gap {abs(exact - approx):.2e}")
 print()
 
 print("per-component curves for S = [20, 5] (each component has its own cliff):")

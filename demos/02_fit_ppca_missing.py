@@ -18,7 +18,6 @@ from spiked_pca import (
     extract_directions,
     fit_ppca,
     make_ground_truth,
-    observed_fraction,
     sample_dataset,
     top_eigvec_complete,
 )
@@ -35,7 +34,7 @@ print(f"spectrum estimate on the complete sample: sigma^2 ~ {est.noise_variance_
 print()
 
 masked = apply_mcar_mask(data, m=0.4, seed=3)
-print(f"masked at m=0.4: observed fraction = {observed_fraction(masked):.4f}")
+print(f"masked at m=0.4: observed fraction = {masked.mask.mean():.4f}")
 
 model = fit_ppca(masked, FitOptions(k=2, seed=4))
 print(f"EM finished after {model.n_iterations} EM steps "

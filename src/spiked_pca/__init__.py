@@ -8,8 +8,6 @@ closed-form predictions.
 """
 
 from .errors import (
-    DegenerateColumnError,
-    DegenerateSpectrumError,
     DomainError,
     FormatError,
     NumericalError,
@@ -33,20 +31,17 @@ from .fileio import (
     write_masked_csv,
     write_model_csv,
 )
-from .masked import MaskedMatrix, apply_mcar_mask, center_observed, observed_fraction
+from .masked import MaskedMatrix, apply_mcar_mask, center_observed
 from .metrics import (
-    SnrEstimate,
     add_isotropic_noise,
     component_r2,
     covariance_eigenvalues,
     estimate_snr,
-    r_squared,
     top_eigvec_complete,
 )
 from .ppca import FitOptions, PpcaModel, extract_directions, fit_ppca
-from .synthetic import GroundTruth, make_ground_truth, sample_dataset
+from .synthetic import make_ground_truth, sample_dataset
 from .theory import (
-    asymptotic_r2,
     critical_alpha,
     critical_missing_rate,
     theory_r2_complete,
@@ -59,22 +54,17 @@ __version__ = "0.1.0"
 __all__ = [
     "CellResult",
     "CurveRecord",
-    "DegenerateColumnError",
-    "DegenerateSpectrumError",
     "DomainError",
     "ExperimentConfig",
     "FitOptions",
     "FormatError",
-    "GroundTruth",
     "MaskedMatrix",
     "NumericalError",
     "PpcaModel",
-    "SnrEstimate",
     "SpikedPcaError",
     "SweepResult",
     "add_isotropic_noise",
     "apply_mcar_mask",
-    "asymptotic_r2",
     "center_observed",
     "compare_hypotheses",
     "component_r2",
@@ -86,8 +76,6 @@ __all__ = [
     "extract_directions",
     "fit_ppca",
     "make_ground_truth",
-    "observed_fraction",
-    "r_squared",
     "read_experiment_config",
     "read_masked_csv",
     "run_missing_rate_sweep",

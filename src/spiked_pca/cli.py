@@ -7,7 +7,7 @@ All error messages go to standard error.
 import argparse
 import sys
 
-from .errors import DomainError, FormatError, NumericalError
+from .errors import DomainError, FormatError, NumericalError, check_integer
 from .experiment import (
     STREAM_DATASET,
     STREAM_GROUND_TRUTH,
@@ -55,13 +55,20 @@ def _cmd_theory(args):
     return 0
 
 
+def _float_list(text):
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a list of numbers: {text!r}") from None
+
+
 def _cmd_generate(args):
-    norms = [float(v) for v in args.norms.split(",")]
+    check_integer("seed", args.seed, 0)
     # separate derived seeds so the latent draws do not replay the stream
     # that produced the directions
     gt = make_ground_truth(
         args.d,
-        norms,
+        args.norms,
         args.noise_var,
         derive_cell_seed(args.seed, 0, 0, STREAM_GROUND_TRUTH),
     )
@@ -161,7 +168,9 @@ def _build_parser():
     p = sub.add_parser("generate", help="sample a synthetic spiked dataset")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--norms", required=True, help="comma-separated direction norms")
+    p.add_argument(
+        "--norms", type=_float_list, required=True, help="comma-separated direction norms"
+    )
     p.add_argument("--noise-var", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)

@@ -11,18 +11,6 @@ class DomainError(SpikedPcaError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class DegenerateColumnError(DomainError):
-    """A column has no observed entries where per-feature statistics are required."""
-
-    def __init__(self, column, message="no observed entries"):
-        self.column = int(column)
-        super().__init__(f"column {self.column}: {message}")
-
-
-class DegenerateSpectrumError(DomainError):
-    """The trailing eigenvalue mass is zero, so no noise level can be estimated."""
-
-
 class FormatError(SpikedPcaError, ValueError):
     """A file does not conform to the expected tabular format."""
 

@@ -73,7 +73,9 @@ def read_masked_csv(path):
         raise FormatError(
             f"{path}: cannot parse {cell!r} at row {row}, column {col}"
         ) from None
-    return MaskedMatrix(values, ~np.isnan(values))
+    mask = ~np.isnan(values)
+    values.flags.writeable = mask.flags.writeable = False  # fresh: no copies
+    return MaskedMatrix(values, mask)
 
 
 def write_masked_csv(x, path):

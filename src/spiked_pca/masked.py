@@ -10,7 +10,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateColumnError, DomainError, NumericalError, check_integer
+from .errors import DomainError, NumericalError, check_integer
+
+
+def _read_only(a, dtype):
+    """``a`` itself if it is a read-only ``dtype`` array, else a read-only copy."""
+    if type(a) is np.ndarray and a.dtype == dtype and not a.flags.writeable:
+        return a
+    a = np.array(a, dtype=dtype)
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -19,16 +28,17 @@ class MaskedMatrix:
 
     ``mask[n, d]`` is True where the entry is observed. Entries of
     ``values`` at unobserved positions are undefined, and no operation in
-    this package reads them from its input. Both arrays are frozen read-only,
-    so instances are safe to share across threads.
+    this package reads them from its input. Both arrays are read-only. A
+    writeable array is copied; one already read-only is kept without a
+    copy, as the caller's promise not to change it.
     """
 
     values: np.ndarray
     mask: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
-        mask = np.array(self.mask, dtype=bool)
+        values = _read_only(self.values, float)
+        mask = _read_only(self.mask, bool)
         if values.ndim != 2:
             raise DomainError(f"expected a 2-d value array, got ndim={values.ndim}")
         if mask.shape != values.shape:
@@ -37,8 +47,6 @@ class MaskedMatrix:
             )
         if values.shape[0] < 1 or values.shape[1] < 1:
             raise DomainError("matrix must have at least one row and one column")
-        values.flags.writeable = False
-        mask.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "mask", mask)
 
@@ -88,6 +96,7 @@ def apply_mcar_mask(data, m, seed):
     rng = np.random.default_rng(seed)
     # uniforms are in [0, 1), so m = 0 observes everything and m = 1 nothing
     observed = rng.random(data.shape) >= m
+    observed.flags.writeable = False
     return MaskedMatrix(data, observed)
 
 
@@ -96,15 +105,14 @@ def center_observed(x):
 
     Returns the centered matrix, whose unobserved entries are written as
     0 of either sign, and the mean vector needed to invert the transform. A column with
-    no observed entries has no mean and raises
-    :class:`DegenerateColumnError`; a non-finite observed value raises
-    :class:`DomainError`, and finite values whose centering overflows raise
-    :class:`NumericalError`.
+    no observed entries has no mean and raises :class:`DomainError`, as
+    does a non-finite observed value; finite values whose centering
+    overflows raise :class:`NumericalError`.
     """
     counts = x.mask.sum(axis=0)
     empty = np.flatnonzero(counts == 0)
     if empty.size:
-        raise DegenerateColumnError(empty[0], "cannot compute an observed mean")
+        raise DomainError(f"column {empty[0]}: cannot compute an observed mean")
     centered = np.where(x.mask, x.values, 0.0)
     if not np.isfinite(centered).all():
         raise DomainError("observed entries must be finite")
@@ -116,9 +124,5 @@ def center_observed(x):
         # overflows only where the fit's squares would too
         if not math.isfinite(centered.sum()):
             raise NumericalError("centered data not finite: the data overflow")
+    centered.flags.writeable = False  # fresh, so MaskedMatrix need not copy it
     return MaskedMatrix(centered, x.mask), mean
-
-
-def observed_fraction(x):
-    """Fraction of entries that are observed, in [0, 1]."""
-    return float(x.mask.mean())

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, DomainError, NumericalError, check_integer
+from .errors import DomainError, NumericalError, check_integer
 from .masked import MaskedMatrix, complete_values
 
 
@@ -122,7 +122,7 @@ def estimate_snr(eigenvalues, k):
         raise DomainError("eigenvalues must be sorted in descending order")
     sigma2_hat = float(lam[k:].mean())
     if sigma2_hat == 0.0:
-        raise DegenerateSpectrumError("trailing eigenvalues are all zero")
+        raise DomainError("trailing eigenvalues are all zero")
     snr = np.maximum((lam[:k] - sigma2_hat) / sigma2_hat, 0.0)
     return SnrEstimate(sigma2_hat, snr)
 
@@ -146,4 +146,5 @@ def add_isotropic_noise(x, sigma2_added, seed):
     noisy *= math.sqrt(sigma2_added)
     noisy *= x.mask
     noisy += x.values
+    noisy.flags.writeable = False  # fresh, so MaskedMatrix need not copy it
     return MaskedMatrix(noisy, x.mask)

@@ -17,39 +17,14 @@ from .errors import DomainError, check_integer
 @dataclass(frozen=True)
 class GroundTruth:
     """True signal directions (columns of ``directions``, descending norm),
-    noise variance and the implied per-component signal-to-noise ratios."""
+    noise variance and the implied per-component signal-to-noise ratios.
+
+    Built and validated only by :func:`make_ground_truth`.
+    """
 
     directions: np.ndarray
     noise_variance: float
     snr_per_component: np.ndarray
-
-    def __post_init__(self):
-        directions = np.array(self.directions, dtype=float)
-        snr = np.array(self.snr_per_component, dtype=float)
-        if directions.ndim != 2:
-            raise DomainError("directions must be a D x k matrix")
-        d, k = directions.shape
-        if not 1 <= k < d:
-            raise DomainError(f"need 1 <= k < D, got k={k}, D={d}")
-        if not self.noise_variance > 0:
-            raise DomainError(f"noise variance must be positive, got {self.noise_variance}")
-        norms2 = (directions ** 2).sum(axis=0)
-        if np.any(np.diff(norms2) > 0):
-            raise DomainError("direction columns must be ordered by descending norm")
-        if not np.allclose(snr, norms2 / self.noise_variance, rtol=1e-12, atol=0.0):
-            raise DomainError("snr_per_component inconsistent with column norms")
-        directions.flags.writeable = False
-        snr.flags.writeable = False
-        object.__setattr__(self, "directions", directions)
-        object.__setattr__(self, "snr_per_component", snr)
-
-    @property
-    def n_features(self):
-        return self.directions.shape[0]
-
-    @property
-    def n_components(self):
-        return self.directions.shape[1]
 
 
 def make_ground_truth(d, norms, noise_variance, seed):
@@ -65,18 +40,19 @@ def make_ground_truth(d, norms, noise_variance, seed):
         raise DomainError("norms must be a nonempty 1-d sequence")
     norms = np.sort(norms)[::-1]
     k = norms.size
-    if np.any(norms <= 0):
-        raise DomainError("norms must be strictly positive")
+    if not np.all((norms > 0) & (norms < math.inf)):
+        raise DomainError("norms must be positive and finite")
     if not d > k:
         raise DomainError(f"need D > k, got D={d}, k={k}")
-    if not noise_variance > 0:
-        raise DomainError(f"noise variance must be positive, got {noise_variance}")
+    if not 0 < noise_variance < math.inf:
+        raise DomainError(f"noise variance must be positive and finite, got {noise_variance}")
     check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((d, k))
     q, _ = np.linalg.qr(raw)
     directions = q * norms
     snr = norms ** 2 / noise_variance
+    directions.flags.writeable = snr.flags.writeable = False
     return GroundTruth(directions, float(noise_variance), snr)
 
 
@@ -88,7 +64,8 @@ def sample_dataset(gt, n, seed):
     """
     check_integer("n", n, 1)
     check_integer("seed", seed, 0)
+    d, k = gt.directions.shape
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n, gt.n_components))
-    eps = rng.standard_normal((n, gt.n_features))
+    z = rng.standard_normal((n, k))
+    eps = rng.standard_normal((n, d))
     return z @ gt.directions.T + math.sqrt(gt.noise_variance) * eps

@@ -111,17 +111,3 @@ def critical_alpha(snr, m):
     except ZeroDivisionError:
         return math.inf
 
-
-def asymptotic_r2(alpha, snr):
-    """Large-sample expansion 1 - (S + 1) / (S^2 * alpha).
-
-    Valid only above the transition; an approximation that becomes exact
-    as alpha grows.
-    """
-    alpha = _positive("alpha", alpha)
-    snr = _positive("snr", snr)
-    if alpha * snr * snr <= 1.0:
-        raise DomainError(
-            f"expansion requires alpha * snr^2 > 1, got {alpha * snr * snr}"
-        )
-    return 1.0 - (snr + 1.0) / (snr * snr) / alpha

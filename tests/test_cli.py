@@ -263,6 +263,38 @@ def test_negative_seed_exit_code(tmp_path, monkeypatch, capsys, command):
     assert "seed" in capsys.readouterr().err
 
 
+def generate_argv(out, norms="1.0", noise_var="0.25", seed="3"):
+    return ["generate", "--n", "20", "--d", "5", "--norms", norms,
+            "--noise-var", noise_var, "--seed", seed, "--out", str(out)]
+
+
+@pytest.mark.parametrize("norms", ["1,,2", "abc", "", "1.0,"])
+def test_generate_malformed_norms_exit_code(tmp_path, capsys, norms):
+    out = tmp_path / "data.csv"
+    assert cli_main(generate_argv(out, norms=norms)) == 1
+    assert "--norms" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "norms, noise_var",
+    [("inf", "0.25"), ("1.0,-inf", "0.25"), ("nan", "0.25"), ("1.0,nan", "0.25"),
+     ("1.0", "inf"), ("1.0", "nan")],
+)
+def test_generate_nonfinite_model_exit_code(tmp_path, capsys, norms, noise_var):
+    out = tmp_path / "data.csv"
+    assert cli_main(generate_argv(out, norms=norms, noise_var=noise_var)) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generate_negative_seed_exit_code(tmp_path, capsys):
+    out = tmp_path / "data.csv"
+    assert cli_main(generate_argv(out, seed="-1")) == 1
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command",
     [

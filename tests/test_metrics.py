@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from spiked_pca import (
-    DegenerateSpectrumError,
     DomainError,
     MaskedMatrix,
     NumericalError,
@@ -12,10 +11,10 @@ from spiked_pca import (
     covariance_eigenvalues,
     estimate_snr,
     make_ground_truth,
-    r_squared,
     sample_dataset,
     top_eigvec_complete,
 )
+from spiked_pca.metrics import SnrEstimate, r_squared
 
 
 def test_r_squared_geometry():
@@ -47,6 +46,7 @@ def test_r_squared_scale_sign_and_symmetry():
 
 def test_estimate_snr_exact_spiked_spectrum():
     est = estimate_snr([3.0, 1.0, 1.0, 1.0, 1.0], 1)
+    assert isinstance(est, SnrEstimate)
     assert est.noise_variance_hat == 1.0
     assert est.snr_per_component[0] == 2.0
 
@@ -88,7 +88,7 @@ def test_estimate_snr_validation():
         estimate_snr([1.0, 2.0, 1.0], 1)
     with pytest.raises(DomainError):
         estimate_snr([3.0, -1.0, 1.0], 1)
-    with pytest.raises(DegenerateSpectrumError):
+    with pytest.raises(DomainError, match="trailing eigenvalues are all zero"):
         estimate_snr([3.0, 0.0, 0.0], 1)
     for bad in (np.nan, np.inf):
         with pytest.raises(DomainError, match="finite"):

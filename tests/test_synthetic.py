@@ -5,9 +5,10 @@ from spiked_pca import (
     DomainError,
     covariance_eigenvalues,
     make_ground_truth,
-    r_squared,
     sample_dataset,
 )
+from spiked_pca.metrics import r_squared
+from spiked_pca.synthetic import GroundTruth
 
 
 def test_requested_snrs_from_norms_and_noise():
@@ -46,6 +47,25 @@ def test_rejects_bad_dimensions():
         make_ground_truth(10, [1.0, -0.5], 0.1, seed=0)
     with pytest.raises(DomainError):
         make_ground_truth(10, [1.0], 0.0, seed=0)
+
+
+@pytest.mark.parametrize(
+    "norms, noise_variance",
+    [([np.inf], 0.1), ([1.0, -np.inf], 0.1), ([np.nan], 0.1), ([1.0, np.nan], 0.1),
+     ([1.0], np.inf), ([1.0], np.nan)],
+)
+def test_rejects_nonfinite_norms_and_noise(norms, noise_variance):
+    with pytest.raises(DomainError, match="positive and finite"):
+        make_ground_truth(10, norms, noise_variance, seed=0)
+
+
+def test_ground_truth_record_is_read_only():
+    gt = make_ground_truth(10, [0.5, 2.0], 0.1, seed=0)
+    assert isinstance(gt, GroundTruth)
+    assert np.array_equal(gt.snr_per_component, np.array([2.0, 0.5]) ** 2 / 0.1)
+    for array in (gt.directions, gt.snr_per_component):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
 
 
 @pytest.mark.parametrize("d", [10.7, 10.0, True], ids=["fraction", "float", "bool"])

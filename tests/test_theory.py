@@ -5,7 +5,6 @@ import pytest
 
 from spiked_pca import (
     DomainError,
-    asymptotic_r2,
     critical_alpha,
     critical_missing_rate,
     theory_r2_complete,
@@ -58,16 +57,6 @@ def test_critical_alpha_values():
     assert critical_alpha(20.0, 0.0) == pytest.approx(0.0025, abs=1e-15)
     # nothing is observed at m = 1, so no finite sample ratio suffices
     assert critical_alpha(5.0, 1.0) == math.inf
-
-
-def test_asymptotic_expansion_values():
-    # 1 - 21/400000 and 1 - 3/40
-    assert asymptotic_r2(1000.0, 20.0) == pytest.approx(0.9999475, abs=1e-10)
-    assert asymptotic_r2(10.0, 2.0) == pytest.approx(0.925, abs=1e-12)
-    diff = abs(asymptotic_r2(1000.0, 20.0) - theory_r2_complete(1000.0, 20.0))
-    assert diff <= 1e-6
-    with pytest.raises(DomainError):
-        asymptotic_r2(0.5, 1.0)
 
 
 def test_missing_identity_exact_on_grid():
