@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, SpikedPcaError, check_integer
+from .errors import DomainError, SpikedPcaError, check_integer, check_nonnegative, check_rate
 from .masked import apply_mcar_mask
 from .metrics import add_isotropic_noise, component_r2
 from .ppca import FitOptions, extract_directions, fit_ppca
@@ -50,12 +50,18 @@ def derive_cell_seed(base_seed, repetition, cell_index, stream):
     return h
 
 
-SWEEP_KINDS = ("missing_rate", "snr_via_added_noise")
+# each sweep kind with the rule its grid values obey
+SWEEP_KINDS = {"missing_rate": check_rate, "snr_via_added_noise": check_nonnegative}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One sweep definition: grid, model dimensions and fit settings."""
+    """One sweep definition: grid, model dimensions and fit settings.
+
+    Valid once built: each grid value obeys its sweep kind's rule (a rate,
+    or a finite nonnegative added variance), and ``fixed_missing_rate`` is
+    nonzero only on the snr_via_added_noise sweep.
+    """
 
     sweep_kind: str
     grid: tuple
@@ -71,7 +77,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.sweep_kind not in SWEEP_KINDS:
             raise DomainError(f"unknown sweep kind {self.sweep_kind!r}")
-        grid = tuple(float(g) for g in self.grid)
+        check = SWEEP_KINDS[self.sweep_kind]
+        grid = tuple(check(f"{self.sweep_kind} grid value", g) for g in self.grid)
         if not grid:
             raise DomainError("grid must be nonempty")
         if any(b < a for a, b in zip(grid, grid[1:])):
@@ -81,10 +88,9 @@ class ExperimentConfig:
         object.__setattr__(self, "norms", norms)
         for name, low in (("n", 2), ("d", 2), ("repetitions", 1), ("base_seed", 0)):
             check_integer(name, getattr(self, name), low)
-        if not 0.0 <= self.fixed_missing_rate <= 1.0:
-            raise DomainError(
-                f"fixed_missing_rate must lie in [0, 1], got {self.fixed_missing_rate}"
-            )
+        m = check_rate("fixed_missing_rate", self.fixed_missing_rate)
+        if m and self.sweep_kind == "missing_rate":
+            raise DomainError("fixed_missing_rate is only for the snr_via_added_noise sweep")
         if self.fit.k != len(norms):
             raise DomainError(
                 f"fit.k ({self.fit.k}) must match the number of components ({len(norms)})"
@@ -215,8 +221,6 @@ def run_missing_rate_sweep(cfg):
     """
     if cfg.sweep_kind != "missing_rate":
         raise DomainError(f"config is for sweep kind {cfg.sweep_kind!r}")
-    if any(not 0.0 <= m <= 1.0 for m in cfg.grid):
-        raise DomainError("missing-rate grid must lie inside [0, 1]")
 
     def remask(data, rep, ci, m):
         return apply_mcar_mask(
@@ -240,8 +244,6 @@ def run_snr_sweep(cfg):
     """
     if cfg.sweep_kind != "snr_via_added_noise":
         raise DomainError(f"config is for sweep kind {cfg.sweep_kind!r}")
-    if any(not 0.0 <= g < math.inf for g in cfg.grid):
-        raise DomainError("added-noise grid must be finite and nonnegative")
     m = cfg.fixed_missing_rate
 
     def mask_once(data, rep):
@@ -271,8 +273,7 @@ def compare_hypotheses(records, min_m):
     missing-rate sweep. Returns (rmse against the reduced-SNR curve,
     rmse against the effective-sample-size curve).
     """
-    if not 0.0 <= min_m < 1.0:
-        raise DomainError(f"min_m must lie in [0, 1), got {min_m}")
+    check_rate("min_m", min_m, closed=False)
     chosen = [r for r in records if r.component == 1 and r.sweep_value >= min_m]
     if not chosen:
         raise DomainError("no first-component records at or above min_m")

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, check_integer
+from .errors import DomainError, NumericalError, check_integer, check_rate
 
 
 def _read_only(a, dtype):
@@ -90,8 +90,7 @@ def apply_mcar_mask(data, m, seed):
     original values.
     """
     data = complete_values(data)
-    if not 0.0 <= m <= 1.0:
-        raise DomainError(f"missing rate must lie in [0, 1], got {m}")
+    m = check_rate("missing rate", m)
     check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     # uniforms are in [0, 1), so m = 0 observes everything and m = 1 nothing

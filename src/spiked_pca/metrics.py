@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, check_integer
+from .errors import DomainError, NumericalError, check_integer, check_nonnegative
 from .masked import MaskedMatrix, complete_values
 
 
@@ -135,8 +135,7 @@ def add_isotropic_noise(x, sigma2_added, seed):
     S_i = ||a_i||^2 / (sigma2 + sigma2_added), which is how a dataset's
     signal-to-noise ratio is swept downward.
     """
-    if not 0 <= sigma2_added < math.inf:
-        raise DomainError(f"added variance must be finite and nonnegative, got {sigma2_added}")
+    sigma2_added = check_nonnegative("added variance", sigma2_added)
     check_integer("seed", seed, 0)
     if sigma2_added == 0:
         return MaskedMatrix(x.values, x.mask)

@@ -8,14 +8,13 @@ per-column observed means.
 """
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, check_integer
+from .errors import DomainError, NumericalError, check_integer, check_positive
 from .masked import center_observed
 
 SIGMA2_FLOOR = 1e-12
@@ -43,13 +42,7 @@ class FitOptions:
     def __post_init__(self):
         for name, low in (("k", 1), ("max_iterations", 1), ("seed", 0)):
             check_integer(name, getattr(self, name), low)
-        if not (
-            isinstance(self.rel_tolerance, numbers.Real)
-            and 0 < self.rel_tolerance < math.inf
-        ):
-            raise DomainError(
-                f"rel_tolerance must be positive and finite, got {self.rel_tolerance!r}"
-            )
+        check_positive("rel_tolerance", self.rel_tolerance)
 
 
 @dataclass(frozen=True)

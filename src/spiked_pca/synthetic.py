@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_integer
+from .errors import DomainError, check_integer, check_positive
 
 
 @dataclass(frozen=True)
@@ -35,25 +35,24 @@ def make_ground_truth(d, norms, noise_variance, seed):
     curves well defined. Norms are sorted descending.
     """
     check_integer("d", d, 1)
-    norms = np.asarray(norms, dtype=float)
-    if norms.ndim != 1 or norms.size < 1:
+    if np.ndim(norms) != 1 or len(norms) < 1:
         raise DomainError("norms must be a nonempty 1-d sequence")
-    norms = np.sort(norms)[::-1]
+    norms = np.sort([check_positive("norms", v) for v in norms])[::-1]
     k = norms.size
-    if not np.all((norms > 0) & (norms < math.inf)):
-        raise DomainError("norms must be positive and finite")
     if not d > k:
         raise DomainError(f"need D > k, got D={d}, k={k}")
-    if not 0 < noise_variance < math.inf:
-        raise DomainError(f"noise variance must be positive and finite, got {noise_variance}")
+    noise_variance = check_positive("noise variance", noise_variance)
+    with np.errstate(over="ignore"):
+        snr = norms ** 2 / noise_variance
+    for s in snr:  # a ratio can overflow, or underflow to zero
+        check_positive("norms**2 / noise variance", s)
     check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((d, k))
     q, _ = np.linalg.qr(raw)
     directions = q * norms
-    snr = norms ** 2 / noise_variance
     directions.flags.writeable = snr.flags.writeable = False
-    return GroundTruth(directions, float(noise_variance), snr)
+    return GroundTruth(directions, noise_variance, snr)
 
 
 def sample_dataset(gt, n, seed):

@@ -16,28 +16,7 @@ S(m) = (1 - m) * S; the competing "effective sample size" hypothesis
 
 import math
 
-from .errors import DomainError
-
-
-def _float(value):
-    try:
-        return float(value)
-    except OverflowError:  # an integer beyond the double range
-        return math.inf if value > 0 else -math.inf
-
-
-def _positive(name, value):
-    value = _float(value)
-    if not 0 < value < math.inf:
-        raise DomainError(f"{name} must be positive and finite, got {value}")
-    return value
-
-
-def _rate(name, value):
-    value = _float(value)
-    if not 0.0 <= value <= 1.0:
-        raise DomainError(f"{name} must lie in [0, 1], got {value}")
-    return value
+from .errors import check_positive, check_rate
 
 
 def _r2(alpha, snr):
@@ -55,7 +34,7 @@ def theory_r2_complete(alpha, snr):
 
     Zero below the transition alpha * snr^2 = 1, continuous at it.
     """
-    return _r2(_positive("alpha", alpha), _positive("snr", snr))
+    return _r2(check_positive("alpha", alpha), check_positive("snr", snr))
 
 
 def theory_r2_missing(alpha, snr, m):
@@ -64,8 +43,8 @@ def theory_r2_missing(alpha, snr, m):
     Identical to ``theory_r2_complete(alpha, (1 - m) * snr)``; at m = 1
     nothing is observed and the alignment is zero.
     """
-    m = _rate("m", m)
-    return _r2(_positive("alpha", alpha), (1.0 - m) * _positive("snr", snr))
+    m = check_rate("m", m)
+    return _r2(check_positive("alpha", alpha), (1.0 - m) * check_positive("snr", snr))
 
 
 def theory_r2_effective_sample(alpha, snr, m):
@@ -76,8 +55,8 @@ def theory_r2_effective_sample(alpha, snr, m):
     count rather than the signal-to-noise ratio. Used only to compare
     the two hypotheses against simulation.
     """
-    m = _rate("m", m)
-    return _r2((1.0 - m) * _positive("alpha", alpha), _positive("snr", snr))
+    m = check_rate("m", m)
+    return _r2((1.0 - m) * check_positive("alpha", alpha), check_positive("snr", snr))
 
 
 def critical_missing_rate(alpha, snr):
@@ -87,8 +66,8 @@ def critical_missing_rate(alpha, snr):
     the clamp covers parameter regions where learning is impossible at
     any missing rate.
     """
-    alpha = _positive("alpha", alpha)
-    snr = _positive("snr", snr)
+    alpha = check_positive("alpha", alpha)
+    snr = check_positive("snr", snr)
     root = snr * math.sqrt(alpha)
     if root <= 1.0:  # also where the product underflows to zero
         return 0.0
@@ -102,8 +81,8 @@ def critical_alpha(snr, m):
     and inf where it underflows or m = 1, where no finite sample ratio
     suffices.
     """
-    snr = _positive("snr", snr)
-    m = _rate("m", m)
+    snr = check_positive("snr", snr)
+    m = check_rate("m", m)
     try:
         return 1.0 / ((1.0 - m) * snr) ** 2
     except OverflowError:

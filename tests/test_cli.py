@@ -279,7 +279,7 @@ def test_generate_malformed_norms_exit_code(tmp_path, capsys, norms):
 @pytest.mark.parametrize(
     "norms, noise_var",
     [("inf", "0.25"), ("1.0,-inf", "0.25"), ("nan", "0.25"), ("1.0,nan", "0.25"),
-     ("1.0", "inf"), ("1.0", "nan")],
+     ("1.0", "inf"), ("1.0", "nan"), ("1e200", "1e-200")],  # the last: S overflows
 )
 def test_generate_nonfinite_model_exit_code(tmp_path, capsys, norms, noise_var):
     out = tmp_path / "data.csv"
@@ -368,5 +368,13 @@ def test_experiment_rejects_nonfinite_noise_grid(tmp_path, capsys, value):
         .replace("grid = 0.0, 0.4, 0.8", f"grid = 0.0, {value}")
     )
     assert cli_main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == 1
-    assert "finite" in capsys.readouterr().err
+    assert "grid value must be finite and nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_experiment_rejects_fixed_missing_rate_on_missing_rate_sweep(tmp_path, capsys):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(EXPERIMENT_CONFIG + "fixed_missing_rate = 0.9\n")
+    assert cli_main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == 1
+    assert "fixed_missing_rate is only for" in capsys.readouterr().err
     assert not (tmp_path / "c.csv").exists()

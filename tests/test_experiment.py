@@ -89,6 +89,10 @@ def test_config_validation():
         small_config(fit=FitOptions(k=3))
     with pytest.raises(DomainError):
         small_config(fixed_missing_rate=1.5)
+    with pytest.raises(DomainError, match="fixed_missing_rate"):
+        small_config(sweep_kind="snr_via_added_noise", fixed_missing_rate="a")
+    with pytest.raises(DomainError, match="grid value"):
+        small_config(grid=("abc",))
     for bad in (dict(n=1), dict(d=1), dict(n=40.5), dict(d=True), dict(repetitions=1.5)):
         with pytest.raises(DomainError):
             small_config(**bad)
@@ -102,6 +106,14 @@ def test_config_rejects_invalid_base_seed(seed):
         small_config(base_seed=seed)
 
 
+def test_config_rejects_fixed_missing_rate_on_missing_rate_sweep():
+    # the missing-rate sweep masks at its grid values, so a fixed rate
+    # would be silently ignored
+    with pytest.raises(DomainError, match="only for the snr_via_added_noise sweep"):
+        small_config(fixed_missing_rate=0.9)
+    assert small_config(fixed_missing_rate=0.0).fixed_missing_rate == 0.0
+
+
 def test_sweep_kind_mismatch_rejected():
     cfg = small_config()
     with pytest.raises(DomainError):
@@ -112,8 +124,8 @@ def test_sweep_kind_mismatch_rejected():
 
 def test_missing_sweep_rejects_rates_outside_unit_interval():
     for grid in [(-0.1, 0.5), (0.5, 1.5)]:
-        with pytest.raises(DomainError, match="inside"):
-            run_missing_rate_sweep(small_config(grid=grid))
+        with pytest.raises(DomainError, match=r"grid value must lie in \[0, 1\]"):
+            small_config(grid=grid)
 
 
 def test_missing_sweep_record_counts():
@@ -274,19 +286,18 @@ def test_snr_sweep_pairs_components_with_sorted_norms():
 
 def test_snr_sweep_rejects_negative_grid():
     for grid in [(-0.1, 0.0), (0.0, float("nan")), (0.0, float("inf"))]:
-        cfg = ExperimentConfig(
-            sweep_kind="snr_via_added_noise",
-            grid=grid,
-            n=50,
-            d=30,
-            norms=(1.0,),
-            noise_variance=0.05,
-            repetitions=1,
-            base_seed=0,
-            fit=FitOptions(k=1),
-        )
-        with pytest.raises(DomainError, match="finite and nonnegative"):
-            run_snr_sweep(cfg)
+        with pytest.raises(DomainError, match="grid value must be finite and nonnegative"):
+            ExperimentConfig(
+                sweep_kind="snr_via_added_noise",
+                grid=grid,
+                n=50,
+                d=30,
+                norms=(1.0,),
+                noise_variance=0.05,
+                repetitions=1,
+                base_seed=0,
+                fit=FitOptions(k=1),
+            )
 
 
 def make_record(m, component, r2_mean, theory, alt):

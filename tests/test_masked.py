@@ -21,7 +21,7 @@ def test_mask_rate_one_hides_everything():
     assert not x.mask.any()
 
 
-@pytest.mark.parametrize("m", [-0.1, 1.0001, 2.0])
+@pytest.mark.parametrize("m", [-0.1, 1.0001, 2.0, "a", None])
 def test_mask_rejects_rates_outside_unit_interval(m):
     with pytest.raises(DomainError):
         apply_mcar_mask(np.zeros((2, 2)), m, seed=0)

@@ -123,7 +123,7 @@ def test_add_noise_matches_masked_sum():
 
 def test_add_noise_rejects_negative_variance():
     x = apply_mcar_mask(np.zeros((2, 2)), 0.0, seed=0)
-    for bad in (-0.1, float("nan"), float("inf")):
+    for bad in (-0.1, float("nan"), float("inf"), 10**400, "a"):
         with pytest.raises(DomainError):
             add_isotropic_noise(x, bad, seed=0)
 

@@ -76,6 +76,7 @@ def test_fit_options_validation():
         pytest.param(dict(k=1, rel_tolerance=float("inf")), id="rel_tolerance-inf"),
         pytest.param(dict(k=1, rel_tolerance=float("nan")), id="rel_tolerance-nan"),
         pytest.param(dict(k=1, rel_tolerance="1e-7"), id="rel_tolerance-str"),
+        pytest.param(dict(k=1, rel_tolerance=10**400), id="rel_tolerance-huge-int"),
         pytest.param(dict(k=1.5), id="k-float"),
         pytest.param(dict(k=True), id="k-bool"),
         pytest.param(dict(k=1, max_iterations=10.0), id="max_iterations-float"),

@@ -52,7 +52,12 @@ def test_rejects_bad_dimensions():
 @pytest.mark.parametrize(
     "norms, noise_variance",
     [([np.inf], 0.1), ([1.0, -np.inf], 0.1), ([np.nan], 0.1), ([1.0, np.nan], 0.1),
-     ([1.0], np.inf), ([1.0], np.nan)],
+     ([1.0], np.inf), ([1.0], np.nan),
+     pytest.param([1.0], 10**400, id="noise-huge-int"),
+     pytest.param([10**400], 0.1, id="norm-huge-int"),
+     pytest.param(["a"], 0.1, id="norm-str"),
+     pytest.param([1.0], "a", id="noise-str"),
+     pytest.param([1e200], 1e-200, id="snr-overflows")],  # norm**2 / noise variance
 )
 def test_rejects_nonfinite_norms_and_noise(norms, noise_variance):
     with pytest.raises(DomainError, match="positive and finite"):

@@ -139,6 +139,9 @@ def test_theory_point_invariants():
         (critical_missing_rate, (10**400, 1.0)),
         (critical_alpha, (1.0, 10**400)),
         (critical_alpha, (1.0, 1.5)),
+        (theory_r2_complete, ("2", 1.0)),
+        (theory_r2_missing, (1.0, None, 0.5)),
+        (critical_alpha, (1.0, True)),
     ],
 )
 def test_domain_errors(func, args):
