@@ -7,7 +7,7 @@ All error messages go to standard error.
 import argparse
 import sys
 
-from .errors import DomainError, FormatError, NumericalError, check_integer
+from .errors import DomainError, FormatError, NumericalError, check_integer, check_rate
 from .experiment import (
     STREAM_DATASET,
     STREAM_GROUND_TRUTH,
@@ -120,6 +120,8 @@ def _cmd_snr(args):
 
 def _cmd_experiment(args):
     cfg = read_experiment_config(args.config)
+    if args.compare_hypotheses:  # before the sweep, so a bad flag costs no fit
+        check_rate("min_m", args.min_m, closed=False)
     if cfg.sweep_kind == "missing_rate":
         result = run_missing_rate_sweep(cfg)
     else:

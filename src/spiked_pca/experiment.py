@@ -18,7 +18,7 @@ from .errors import DomainError, SpikedPcaError, check_integer, check_nonnegativ
 from .masked import apply_mcar_mask
 from .metrics import add_isotropic_noise, component_r2
 from .ppca import FitOptions, extract_directions, fit_ppca
-from .synthetic import make_ground_truth, sample_dataset
+from .synthetic import _check_spikes, make_ground_truth, sample_dataset
 from .theory import theory_r2_effective_sample, theory_r2_missing
 
 # seed streams, one per independent random purpose
@@ -59,8 +59,9 @@ class ExperimentConfig:
     """One sweep definition: grid, model dimensions and fit settings.
 
     Valid once built: each grid value obeys its sweep kind's rule (a rate,
-    or a finite nonnegative added variance), and ``fixed_missing_rate`` is
-    nonzero only on the snr_via_added_noise sweep.
+    or a finite nonnegative added variance), the norms and noise variance
+    obey :func:`make_ground_truth`'s, ``fixed_missing_rate`` is nonzero
+    only on the snr_via_added_noise sweep, and ``fit.seed`` is 0.
     """
 
     sweep_kind: str
@@ -84,13 +85,16 @@ class ExperimentConfig:
         if any(b < a for a, b in zip(grid, grid[1:])):
             raise DomainError("grid must be sorted ascending")
         object.__setattr__(self, "grid", grid)
-        norms = tuple(float(v) for v in self.norms)
-        object.__setattr__(self, "norms", norms)
+        norms, noise_variance = _check_spikes(self.norms, self.noise_variance)
+        object.__setattr__(self, "norms", tuple(norms))
+        object.__setattr__(self, "noise_variance", noise_variance)
         for name, low in (("n", 2), ("d", 2), ("repetitions", 1), ("base_seed", 0)):
             check_integer(name, getattr(self, name), low)
         m = check_rate("fixed_missing_rate", self.fixed_missing_rate)
         if m and self.sweep_kind == "missing_rate":
             raise DomainError("fixed_missing_rate is only for the snr_via_added_noise sweep")
+        if self.fit.seed:
+            raise DomainError("fit.seed must be 0: each cell's fit seed comes from base_seed")
         if self.fit.k != len(norms):
             raise DomainError(
                 f"fit.k ({self.fit.k}) must match the number of components ({len(norms)})"
@@ -150,51 +154,66 @@ class SweepResult:
         return tuple(c for c in self.cells if not (c.error or c.converged))
 
 
-def _run_lattice(cfg, prepare, perturb, cell_point):
+def _missing_rate_cells(cfg, gt, data, rep):
+    """Re-mask the repetition's dataset at every rate of the grid."""
+    for ci, m in enumerate(cfg.grid):
+        seed = derive_cell_seed(cfg.base_seed, rep, ci, STREAM_MASK)
+        yield apply_mcar_mask(data, m, seed), [m] * len(cfg.norms), gt.snr_per_component, m
+
+
+def _added_noise_cells(cfg, gt, data, rep):
+    """Mask the repetition's dataset once, then add each grid variance of noise to it."""
+    m = cfg.fixed_missing_rate
+    masked = apply_mcar_mask(data, m, derive_cell_seed(cfg.base_seed, rep, 0, STREAM_MASK))
+    # squared column norms in component order (descending), however
+    # cfg.norms was given
+    norms2 = (gt.directions ** 2).sum(axis=0)
+    for ci, sigma2_added in enumerate(cfg.grid):
+        seed = derive_cell_seed(cfg.base_seed, rep, ci, STREAM_NOISE)
+        snrs = norms2 / (cfg.noise_variance + sigma2_added)
+        yield add_isotropic_noise(masked, sigma2_added, seed), snrs, snrs, m
+
+
+def _run_lattice(cfg, kind, cells):
     """Fit every (repetition, grid cell) and fold the alignments into records.
 
-    ``prepare(data, rep)`` turns a repetition's sampled dataset into the
-    base every cell of that repetition starts from, ``perturb(base, rep,
-    ci, value)`` gives the matrix fitted at grid cell ``ci`` and
-    ``cell_point(gt, value)`` returns the cell's recorded sweep values, its
-    per-component signal-to-noise vector S and its missing rate m, from
-    which both theory columns follow. Every fit becomes one CellResult; a
-    fit that raises keeps its message and no R^2. Each grid cell with at
-    least one surviving fit is summarized by the sample mean and, for two
-    or more surviving repetitions, the sample standard deviation.
+    ``cfg`` must be of sweep kind ``kind``, whose ``cells(cfg, gt, data,
+    rep)`` yields, per grid cell of a repetition in order, the matrix to
+    fit, the recorded sweep values, the per-component signal-to-noise
+    vector S and the missing rate m, from which both theory columns follow.
+    Every fit becomes one CellResult; a fit that raises keeps its message
+    and no R^2. Each grid cell with at least one surviving fit is
+    summarized by the sample mean and, for two or more surviving
+    repetitions, the sample standard deviation.
     """
+    if cfg.sweep_kind != kind:
+        raise DomainError(f"config is for sweep kind {cfg.sweep_kind!r}")
     alpha = cfg.n / cfg.d
-    gt = make_ground_truth(
-        cfg.d,
-        cfg.norms,
-        cfg.noise_variance,
-        seed=derive_cell_seed(cfg.base_seed, 0, 0, STREAM_GROUND_TRUTH),
-    )
-    cells = []
+    seed = derive_cell_seed(cfg.base_seed, 0, 0, STREAM_GROUND_TRUTH)
+    gt = make_ground_truth(cfg.d, cfg.norms, cfg.noise_variance, seed)
+    results = []
+    points = {}  # grid cell -> (sweep values, S, m), the same in every repetition
     for rep in range(cfg.repetitions):
-        data = sample_dataset(
-            gt, cfg.n, derive_cell_seed(cfg.base_seed, rep, 0, STREAM_DATASET)
-        )
-        base = prepare(data, rep)
-        for ci, value in enumerate(cfg.grid):
-            x = perturb(base, rep, ci, value)
-            opts = replace(
-                cfg.fit, seed=derive_cell_seed(cfg.base_seed, rep, ci, STREAM_FIT)
-            )
+        seed = derive_cell_seed(cfg.base_seed, rep, 0, STREAM_DATASET)
+        data = sample_dataset(gt, cfg.n, seed)
+        for ci, (x, *point) in enumerate(cells(cfg, gt, data, rep)):
+            value = cfg.grid[ci]
+            points[ci] = point
+            seed = derive_cell_seed(cfg.base_seed, rep, ci, STREAM_FIT)
             try:
-                model = fit_ppca(x, opts)
+                model = fit_ppca(x, replace(cfg.fit, seed=seed))
                 r2 = tuple(component_r2(extract_directions(model), gt).tolist())
                 cell = CellResult(rep, ci, value, r2, model.converged, "")
             except SpikedPcaError as exc:
                 cell = CellResult(rep, ci, value, (), False, str(exc))
-            cells.append(cell)
+            results.append(cell)
 
     records = []
     for ci, value in enumerate(cfg.grid):
-        got = [c.r2 for c in cells if c.cell_index == ci and not c.error]
+        got = [c.r2 for c in results if c.cell_index == ci and not c.error]
         if not got:
             continue
-        sweep_values, snrs, m = cell_point(gt, value)
+        sweep_values, snrs, m = points[ci]
         for comp, vals in enumerate(np.array(got).T):
             std = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
             records.append(
@@ -208,7 +227,7 @@ def _run_lattice(cfg, prepare, perturb, cell_point):
                     theory_alt_r2=theory_r2_effective_sample(alpha, snrs[comp], m),
                 )
             )
-    return SweepResult(tuple(records), tuple(cells))
+    return SweepResult(tuple(records), tuple(results))
 
 
 def run_missing_rate_sweep(cfg):
@@ -219,18 +238,7 @@ def run_missing_rate_sweep(cfg):
     seed. Failed fits are recorded on the result, not retried, so the
     aggregates stay unbiased.
     """
-    if cfg.sweep_kind != "missing_rate":
-        raise DomainError(f"config is for sweep kind {cfg.sweep_kind!r}")
-
-    def remask(data, rep, ci, m):
-        return apply_mcar_mask(
-            data, m, derive_cell_seed(cfg.base_seed, rep, ci, STREAM_MASK)
-        )
-
-    def cell_point(gt, m):
-        return [m] * len(cfg.norms), gt.snr_per_component, m
-
-    return _run_lattice(cfg, lambda data, rep: data, remask, cell_point)
+    return _run_lattice(cfg, "missing_rate", _missing_rate_cells)
 
 
 def run_snr_sweep(cfg):
@@ -242,28 +250,7 @@ def run_snr_sweep(cfg):
     fitting. The recorded sweep value is the resulting ratio
     S_i = ||a_i||^2 / (sigma2 + sigma2_added).
     """
-    if cfg.sweep_kind != "snr_via_added_noise":
-        raise DomainError(f"config is for sweep kind {cfg.sweep_kind!r}")
-    m = cfg.fixed_missing_rate
-
-    def mask_once(data, rep):
-        return apply_mcar_mask(
-            data, m, derive_cell_seed(cfg.base_seed, rep, 0, STREAM_MASK)
-        )
-
-    def add_noise(masked, rep, ci, sigma2_added):
-        return add_isotropic_noise(
-            masked, sigma2_added, derive_cell_seed(cfg.base_seed, rep, ci, STREAM_NOISE)
-        )
-
-    def cell_point(gt, sigma2_added):
-        # squared column norms in component order (descending), however
-        # cfg.norms was given
-        norms2 = (gt.directions ** 2).sum(axis=0)
-        snrs = norms2 / (cfg.noise_variance + sigma2_added)
-        return snrs, snrs, m
-
-    return _run_lattice(cfg, mask_once, add_noise, cell_point)
+    return _run_lattice(cfg, "snr_via_added_noise", _added_noise_cells)
 
 
 def compare_hypotheses(records, min_m):

@@ -10,6 +10,7 @@ too. They become mask bits in memory.
 
 import configparser
 import re
+from dataclasses import MISSING, fields
 
 import numpy as np
 
@@ -141,6 +142,10 @@ def write_model_csv(model, path):
             handle.write(_fmt(mu) + "," + ",".join(_fmt(v) for v in row) + "\n")
 
 
+def _parse_list(text):
+    return tuple(float(v) for v in text.split(","))
+
+
 def _parse_grid(text):
     text = text.strip()
     if text.startswith("linspace(") and text.endswith(")"):
@@ -149,13 +154,17 @@ def _parse_grid(text):
             raise FormatError("linspace takes exactly (start, stop, count)")
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         return tuple(float(v) for v in np.linspace(start, stop, count))
-    return tuple(float(v) for v in text.split(","))
+    return _parse_list(text)
 
 
+# each config key with the parser of its value
 _CONFIG_KEYS = {
-    "sweep_kind", "grid", "n", "d", "norms", "noise_variance", "repetitions",
-    "base_seed", "fixed_missing_rate", "max_iterations", "rel_tolerance",
+    "sweep_kind": str, "grid": _parse_grid, "norms": _parse_list,
+    "n": int, "d": int, "repetitions": int, "base_seed": int, "max_iterations": int,
+    "noise_variance": float, "fixed_missing_rate": float, "rel_tolerance": float,
 }
+# a key may be omitted when its field has a default; every FitOptions key has one
+_REQUIRED_KEYS = {f.name for f in fields(ExperimentConfig) if f.default is MISSING}
 
 
 def read_experiment_config(path):
@@ -174,34 +183,15 @@ def read_experiment_config(path):
     if not parser.has_section("experiment"):
         raise FormatError(f"{path}: missing [experiment] section")
     section = parser["experiment"]
-
-    def need(key):
-        if key not in section:
-            raise FormatError(f"{path}: missing key {key!r}")
-        return section[key]
-
     for key in section:
         if key not in _CONFIG_KEYS:
             raise FormatError(f"{path}: unknown key {key!r}")
-
+    for key in _CONFIG_KEYS:
+        if key in _REQUIRED_KEYS and key not in section:
+            raise FormatError(f"{path}: missing key {key!r}")
     try:
-        norms = tuple(float(v) for v in need("norms").split(","))
-        fit = FitOptions(
-            k=len(norms),
-            max_iterations=section.getint("max_iterations", FitOptions.max_iterations),
-            rel_tolerance=section.getfloat("rel_tolerance", FitOptions.rel_tolerance),
-        )
-        return ExperimentConfig(
-            sweep_kind=need("sweep_kind"),
-            grid=_parse_grid(need("grid")),
-            n=int(need("n")),
-            d=int(need("d")),
-            norms=norms,
-            noise_variance=float(need("noise_variance")),
-            repetitions=int(need("repetitions")),
-            base_seed=int(need("base_seed")),
-            fit=fit,
-            fixed_missing_rate=section.getfloat("fixed_missing_rate", 0.0),
-        )
+        values = {key: _CONFIG_KEYS[key](text) for key, text in section.items()}
+        fit_keys = {f.name: values.pop(f.name) for f in fields(FitOptions) if f.name in values}
+        return ExperimentConfig(fit=FitOptions(k=len(values["norms"]), **fit_keys), **values)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None

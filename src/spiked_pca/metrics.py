@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError, check_integer, check_nonnegative
-from .masked import MaskedMatrix, complete_values
+from .masked import MaskedMatrix, center_observed, complete_values
 
 
 @dataclass(frozen=True)
@@ -57,13 +57,8 @@ def component_r2(fitted, truth):
 
 def _centered_svd(values, compute_uv):
     """Thin SVD of the column-centered data; NumericalError if it overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        centered = values - values.mean(axis=0)
-        # the sum is non-finite if an entry is, and overflows only where
-        # the squared singular values would too; it needs no N x D mask
-        if not math.isfinite(centered.sum()):
-            raise NumericalError("centered data not finite: the data overflow")
-    return np.linalg.svd(centered, full_matrices=False, compute_uv=compute_uv)
+    centered, _ = center_observed(MaskedMatrix.complete(values))
+    return np.linalg.svd(centered.values, full_matrices=False, compute_uv=compute_uv)
 
 
 def covariance_eigenvalues(x):

@@ -27,6 +27,20 @@ class GroundTruth:
     snr_per_component: np.ndarray
 
 
+def _check_spikes(norms, noise_variance):
+    """The norms (a list, in order) and noise variance as floats; DomainError
+    unless each, and each norm**2 / noise variance, is positive and finite."""
+    if np.ndim(norms) != 1 or len(norms) < 1:
+        raise DomainError("norms must be a nonempty 1-d sequence")
+    norms = [check_positive("norms", v) for v in norms]
+    noise_variance = check_positive("noise variance", noise_variance)
+    with np.errstate(over="ignore"):
+        snr = np.array(norms) ** 2 / noise_variance
+    for s in snr:  # a ratio can overflow, or underflow to zero
+        check_positive("norms**2 / noise variance", s)
+    return norms, noise_variance
+
+
 def make_ground_truth(d, norms, noise_variance, seed):
     """Draw random signal directions with the requested norms.
 
@@ -35,17 +49,12 @@ def make_ground_truth(d, norms, noise_variance, seed):
     curves well defined. Norms are sorted descending.
     """
     check_integer("d", d, 1)
-    if np.ndim(norms) != 1 or len(norms) < 1:
-        raise DomainError("norms must be a nonempty 1-d sequence")
-    norms = np.sort([check_positive("norms", v) for v in norms])[::-1]
+    norms, noise_variance = _check_spikes(norms, noise_variance)
+    norms = np.sort(norms)[::-1]
     k = norms.size
     if not d > k:
         raise DomainError(f"need D > k, got D={d}, k={k}")
-    noise_variance = check_positive("noise variance", noise_variance)
-    with np.errstate(over="ignore"):
-        snr = norms ** 2 / noise_variance
-    for s in snr:  # a ratio can overflow, or underflow to zero
-        check_positive("norms**2 / noise variance", s)
+    snr = norms ** 2 / noise_variance
     check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((d, k))

@@ -378,3 +378,25 @@ def test_experiment_rejects_fixed_missing_rate_on_missing_rate_sweep(tmp_path, c
     assert cli_main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == 1
     assert "fixed_missing_rate is only for" in capsys.readouterr().err
     assert not (tmp_path / "c.csv").exists()
+
+
+def test_experiment_rejects_min_m_before_any_fit(tmp_path, monkeypatch, capsys):
+    import spiked_pca.experiment
+
+    fits = []
+    fit_ppca = spiked_pca.experiment.fit_ppca
+
+    def counting_fit(x, opts):
+        fits.append(opts)
+        return fit_ppca(x, opts)
+
+    monkeypatch.setattr(spiked_pca.experiment, "fit_ppca", counting_fit)
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(EXPERIMENT_CONFIG.replace("grid = 0.0, 0.4, 0.8", "grid = 0.0, 0.4"))
+    out = tmp_path / "c.csv"
+    code = cli_main(["experiment", "--config", str(cfg), "--out", str(out),
+                     "--compare-hypotheses", "--min-m", "1.0"])
+    assert code == 1
+    assert "min_m must lie in [0, 1), got 1.0" in capsys.readouterr().err
+    assert fits == []
+    assert not out.exists()

@@ -96,6 +96,19 @@ def test_config_validation():
     for bad in (dict(n=1), dict(d=1), dict(n=40.5), dict(d=True), dict(repetitions=1.5)):
         with pytest.raises(DomainError):
             small_config(**bad)
+    # norms and noise variance obey make_ground_truth's rule when the config is built
+    for bad in (
+        dict(norms=("a", 0.5)),
+        dict(norms=(10**400, 0.5)),
+        dict(noise_variance=0.0),
+        dict(noise_variance="a"),
+        dict(norms=(1e200, 0.5), noise_variance=1e-200),
+    ):
+        with pytest.raises(DomainError, match="positive and finite"):
+            small_config(**bad)
+    # every cell's fit seed is derived from base_seed, so a config's own would be ignored
+    with pytest.raises(DomainError, match="fit.seed"):
+        small_config(fit=FitOptions(k=2, seed=12345))
 
 
 @pytest.mark.parametrize("seed", [1.5, -1, True], ids=["float", "negative", "bool"])
@@ -277,6 +290,7 @@ def test_snr_sweep_pairs_components_with_sorted_norms():
         fit=FitOptions(k=2),
         fixed_missing_rate=0.1,
     )
+    assert cfg.norms == (0.5, 1.0)  # kept as given; the ground truth sorts them
     result = run_snr_sweep(cfg)
     comp1 = sorted(r.sweep_value for r in result if r.component == 1)
     comp2 = sorted(r.sweep_value for r in result if r.component == 2)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 from spiked_pca import (
     CurveRecord,
     DomainError,
+    ExperimentConfig,
+    FitOptions,
     FormatError,
     MaskedMatrix,
     apply_mcar_mask,
@@ -17,7 +20,7 @@ from spiked_pca import (
     write_ground_truth_csv,
     write_masked_csv,
 )
-from spiked_pca.fileio import CURVE_COLUMNS
+from spiked_pca.fileio import _CONFIG_KEYS, CURVE_COLUMNS
 
 
 def test_read_empty_cell_is_missing(tmp_path):
@@ -322,6 +325,11 @@ def test_read_experiment_config(tmp_path):
     assert cfg.fit.max_iterations == 250
     assert cfg.fit.rel_tolerance == 1e-7
     assert cfg.fixed_missing_rate == 0.0
+    # with every optional key omitted, the dataclass defaults apply
+    p.write_text(CONFIG_TEXT.replace("max_iterations = 250\n", ""))
+    cfg = read_experiment_config(str(p))
+    assert cfg.fixed_missing_rate == 0.0
+    assert cfg.fit == FitOptions(k=2)
 
 
 def test_read_experiment_config_explicit_grid(tmp_path):
@@ -353,3 +361,10 @@ def test_read_experiment_config_errors(tmp_path):
         p.write_text(CONFIG_TEXT + line + "\n")
         with pytest.raises(FormatError, match=f"unknown key '{line.split()[0]}'"):
             read_experiment_config(str(p))
+
+
+def test_config_keys_match_the_dataclasses():
+    # k follows from the norms and every cell's fit seed from base_seed
+    config_fields = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"fit"}
+    fit_fields = {f.name for f in dataclasses.fields(FitOptions)} - {"k", "seed"}
+    assert set(_CONFIG_KEYS) == config_fields | fit_fields
