@@ -19,7 +19,6 @@ from .experiment import (
     ExperimentConfig,
     SweepResult,
     compare_hypotheses,
-    derive_cell_seed,
     run_missing_rate_sweep,
     run_snr_sweep,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "covariance_eigenvalues",
     "critical_alpha",
     "critical_missing_rate",
-    "derive_cell_seed",
     "estimate_snr",
     "extract_directions",
     "fit_ppca",

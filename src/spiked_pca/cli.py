@@ -9,16 +9,16 @@ import sys
 
 from .errors import DomainError, FormatError, NumericalError, check_integer, check_rate
 from .experiment import (
-    STREAM_DATASET,
-    STREAM_GROUND_TRUTH,
     compare_hypotheses,
-    derive_cell_seed,
+    draw_dataset,
     run_missing_rate_sweep,
     run_snr_sweep,
 )
 from .fileio import (
+    REAL_FORMAT,
     read_experiment_config,
     read_masked_csv,
+    real_list,
     write_curve_csv,
     write_ground_truth_csv,
     write_masked_csv,
@@ -27,7 +27,6 @@ from .fileio import (
 from .masked import MaskedMatrix, apply_mcar_mask
 from .metrics import covariance_eigenvalues, estimate_snr
 from .ppca import FitOptions, fit_ppca
-from .synthetic import make_ground_truth, sample_dataset
 from .theory import (
     critical_alpha,
     critical_missing_rate,
@@ -35,12 +34,10 @@ from .theory import (
     theory_r2_missing,
 )
 
-_FMT = ".6g"
-
 
 def _print_kv(key, value):
     if isinstance(value, float):
-        value = format(value, _FMT)
+        value = format(value, REAL_FORMAT)
     print(f"{key} = {value}")
 
 
@@ -55,26 +52,10 @@ def _cmd_theory(args):
     return 0
 
 
-def _float_list(text):
-    try:
-        return [float(v) for v in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a list of numbers: {text!r}") from None
-
-
 def _cmd_generate(args):
     check_integer("seed", args.seed, 0)
-    # separate derived seeds so the latent draws do not replay the stream
-    # that produced the directions
-    gt = make_ground_truth(
-        args.d,
-        args.norms,
-        args.noise_var,
-        derive_cell_seed(args.seed, 0, 0, STREAM_GROUND_TRUTH),
-    )
-    data = sample_dataset(
-        gt, args.n, derive_cell_seed(args.seed, 0, 0, STREAM_DATASET)
-    )
+    # what repetition 0 of a sweep with base_seed = --seed fits
+    gt, data = draw_dataset(args.n, args.d, args.norms, args.noise_var, args.seed, 0)
     write_masked_csv(MaskedMatrix.complete(data), args.out)
     truth_path = args.out + ".truth.csv"
     write_ground_truth_csv(gt, truth_path, args.seed)
@@ -122,6 +103,8 @@ def _cmd_experiment(args):
     cfg = read_experiment_config(args.config)
     if args.compare_hypotheses:  # before the sweep, so a bad flag costs no fit
         check_rate("min_m", args.min_m, closed=False)
+        if args.min_m and cfg.sweep_kind != "missing_rate":
+            raise DomainError("min_m is only for the missing_rate sweep")
     if cfg.sweep_kind == "missing_rate":
         result = run_missing_rate_sweep(cfg)
     else:
@@ -130,8 +113,8 @@ def _cmd_experiment(args):
     if args.compare_hypotheses:
         rmse_snr, rmse_sample = compare_hypotheses(result, args.min_m)
         summary = (
-            f"rmse_snr_hypothesis={format(rmse_snr, _FMT)} "
-            f"rmse_sample_hypothesis={format(rmse_sample, _FMT)}"
+            f"rmse_snr_hypothesis={format(rmse_snr, REAL_FORMAT)} "
+            f"rmse_sample_hypothesis={format(rmse_sample, REAL_FORMAT)}"
         )
     write_curve_csv(result, args.out, summary=summary)
     print(f"wrote {len(result)} records to {args.out}")
@@ -171,7 +154,7 @@ def _build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument(
-        "--norms", type=_float_list, required=True, help="comma-separated direction norms"
+        "--norms", type=real_list, required=True, help="comma-separated direction norms"
     )
     p.add_argument("--noise-var", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)

@@ -50,6 +50,20 @@ def derive_cell_seed(base_seed, repetition, cell_index, stream):
     return h
 
 
+def draw_dataset(n, d, norms, noise_variance, base_seed, repetition):
+    """The ground truth of a sweep with ``base_seed`` and the ``n`` samples
+    of its repetition ``repetition``, as ``(gt, data)``.
+
+    Every repetition shares the ground truth. It and the samples come from
+    separate derived seeds, so the samples do not replay the draws of the
+    directions.
+    """
+    seed = derive_cell_seed(base_seed, 0, 0, STREAM_GROUND_TRUTH)
+    gt = make_ground_truth(d, norms, noise_variance, seed)
+    seed = derive_cell_seed(base_seed, repetition, 0, STREAM_DATASET)
+    return gt, sample_dataset(gt, n, seed)
+
+
 # each sweep kind with the rule its grid values obey
 SWEEP_KINDS = {"missing_rate": check_rate, "snr_via_added_noise": check_nonnegative}
 
@@ -189,13 +203,10 @@ def _run_lattice(cfg, kind, cells):
     if cfg.sweep_kind != kind:
         raise DomainError(f"config is for sweep kind {cfg.sweep_kind!r}")
     alpha = cfg.n / cfg.d
-    seed = derive_cell_seed(cfg.base_seed, 0, 0, STREAM_GROUND_TRUTH)
-    gt = make_ground_truth(cfg.d, cfg.norms, cfg.noise_variance, seed)
     results = []
     points = {}  # grid cell -> (sweep values, S, m), the same in every repetition
     for rep in range(cfg.repetitions):
-        seed = derive_cell_seed(cfg.base_seed, rep, 0, STREAM_DATASET)
-        data = sample_dataset(gt, cfg.n, seed)
+        gt, data = draw_dataset(cfg.n, cfg.d, cfg.norms, cfg.noise_variance, cfg.base_seed, rep)
         for ci, (x, *point) in enumerate(cells(cfg, gt, data, rep)):
             value = cfg.grid[ci]
             points[ci] = point
@@ -233,7 +244,7 @@ def _run_lattice(cfg, kind, cells):
 def run_missing_rate_sweep(cfg):
     """Measure alignment against the missing rate.
 
-    One ground truth is drawn for the whole sweep; each repetition gets a
+    All repetitions share one ground truth; each repetition gets a
     fresh dataset and each (repetition, rate) cell its own mask and fit
     seed. Failed fits are recorded on the result, not retried, so the
     aggregates stay unbiased.

@@ -1,11 +1,11 @@
 """CSV and config-file serialization.
 
-All real numbers are written with 6 significant digits; tests compare
-them with tolerances, never string equality. A matrix CSV has one fixed
-format: comma-separated cells, no header, one line per sample. Missing
-entries are written as empty cells, so in a one-column file as blank
-lines; on read, whitespace-only cells and ``NaN`` in any case are missing
-too. They become mask bits in memory.
+All real numbers are written in ``REAL_FORMAT``, 6 significant digits;
+tests compare them with tolerances, never string equality. A matrix CSV
+has one fixed format: comma-separated cells, no header, one line per
+sample. Missing entries are written as empty cells, so in a one-column
+file as blank lines; on read, whitespace-only cells and ``NaN`` in any
+case are missing too. They become mask bits in memory.
 """
 
 import configparser
@@ -15,24 +15,12 @@ from dataclasses import MISSING, fields
 import numpy as np
 
 from .errors import DomainError, FormatError
-from .experiment import ExperimentConfig
+from .experiment import CurveRecord, ExperimentConfig
 from .masked import MaskedMatrix
 from .ppca import FitOptions
 
-CURVE_COLUMNS = (
-    "sweep_value",
-    "component",
-    "r2_mean",
-    "r2_std",
-    "n_reps",
-    "theory_r2",
-    "theory_alt_r2",
-)
-
-
-def _fmt(value):
-    return format(float(value), ".6g")
-
+REAL_FORMAT = ".6g"
+CURVE_COLUMNS = tuple(f.name for f in fields(CurveRecord))
 
 # an empty or whitespace-only cell, from its leading comma; the reader
 # prepends one comma so that the first cell has one too
@@ -82,17 +70,30 @@ def read_masked_csv(path):
 def write_masked_csv(x, path):
     """Write a MaskedMatrix; unobserved entries become empty cells.
 
-    Observed values are written as ``format(v, ".6g")`` would write them.
-    An observed NaN is written as an empty cell too, so it reads back as
-    missing.
+    Observed values are written as ``format(v, REAL_FORMAT)`` would write
+    them. An observed NaN is written as an empty cell too, so it reads back
+    as missing.
     """
     # one format call per row: unobserved cells print as nan, which no
     # finite or infinite value contains, and are then blanked
-    row_format = ",".join(["%.6g"] * x.n_cols) + "\n"
+    row_format = ",".join(["%" + REAL_FORMAT] * x.n_cols) + "\n"
     with open(path, "w", newline="\n") as handle:
         for row_values, row_mask in zip(x.values, x.mask):
             cells = tuple(np.where(row_mask, row_values, np.nan).tolist())
             handle.write((row_format % cells).replace("nan", ""))
+
+
+def _write_table(path, head, rows, tail=None):
+    """Write the line ``head``, one comma-joined line per row, then the line
+    ``tail`` if given. A float cell is written in REAL_FORMAT, any other
+    cell with ``str``."""
+    with open(path, "w", newline="\n") as handle:
+        handle.write(head + "\n")
+        for row in rows:
+            cells = (format(v, REAL_FORMAT) if isinstance(v, float) else str(v) for v in row)
+            handle.write(",".join(cells) + "\n")
+        if tail:
+            handle.write(tail + "\n")
 
 
 def write_curve_csv(records, path, summary=None):
@@ -101,48 +102,35 @@ def write_curve_csv(records, path, summary=None):
     An optional summary string is appended as a trailing ``#`` comment
     line, which readers of the format skip.
     """
-    records = list(records)
+    records = sorted(records, key=lambda r: (r.sweep_value, r.component))
     if not records:
         raise DomainError("refusing to write an empty record set")
-    records.sort(key=lambda r: (r.sweep_value, r.component))
-    with open(path, "w", newline="\n") as handle:
-        handle.write(",".join(CURVE_COLUMNS) + "\n")
-        for r in records:
-            handle.write(
-                f"{_fmt(r.sweep_value)},{r.component},{_fmt(r.r2_mean)},"
-                f"{_fmt(r.r2_std)},{r.n_reps},{_fmt(r.theory_r2)},"
-                f"{_fmt(r.theory_alt_r2)}\n"
-            )
-        if summary:
-            handle.write(f"# {summary}\n")
+    rows = ([f.type(getattr(r, f.name)) for f in fields(CurveRecord)] for r in records)
+    _write_table(path, ",".join(CURVE_COLUMNS), rows, f"# {summary}" if summary else None)
 
 
 def write_ground_truth_csv(gt, path, seed):
     """Write direction columns with a one-line metadata header."""
-    with open(path, "w", newline="\n") as handle:
-        handle.write(
-            f"# noise_variance={_fmt(gt.noise_variance)} seed={int(seed)}\n"
-        )
-        for row in gt.directions:
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
+    head = f"# noise_variance={float(gt.noise_variance):{REAL_FORMAT}} seed={int(seed)}"
+    _write_table(path, head, gt.directions.tolist())
 
 
 def write_model_csv(model, path):
     """Write a fitted model: metadata header, then rows mean,loading_1..k."""
-    with open(path, "w", newline="\n") as handle:
-        handle.write(
-            "# ppca-model"
-            f" sigma2={_fmt(model.noise_variance)}"
-            f" log_likelihood={_fmt(model.log_likelihood)}"
-            f" n_iterations={model.n_iterations}"
-            f" converged={int(model.converged)}"
-            f" k={model.loadings.shape[1]}\n"
-        )
-        for mu, row in zip(model.mean, model.loadings):
-            handle.write(_fmt(mu) + "," + ",".join(_fmt(v) for v in row) + "\n")
+    head = (
+        "# ppca-model"
+        f" sigma2={float(model.noise_variance):{REAL_FORMAT}}"
+        f" log_likelihood={float(model.log_likelihood):{REAL_FORMAT}}"
+        f" n_iterations={model.n_iterations}"
+        f" converged={int(model.converged)}"
+        f" k={model.loadings.shape[1]}"
+    )
+    rows = ([mu, *row] for mu, row in zip(model.mean.tolist(), model.loadings.tolist()))
+    _write_table(path, head, rows)
 
 
-def _parse_list(text):
+def real_list(text):
+    """A comma-separated list of reals, as a tuple of floats."""
     return tuple(float(v) for v in text.split(","))
 
 
@@ -154,12 +142,12 @@ def _parse_grid(text):
             raise FormatError("linspace takes exactly (start, stop, count)")
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         return tuple(float(v) for v in np.linspace(start, stop, count))
-    return _parse_list(text)
+    return real_list(text)
 
 
 # each config key with the parser of its value
 _CONFIG_KEYS = {
-    "sweep_kind": str, "grid": _parse_grid, "norms": _parse_list,
+    "sweep_kind": str, "grid": _parse_grid, "norms": real_list,
     "n": int, "d": int, "repetitions": int, "base_seed": int, "max_iterations": int,
     "noise_variance": float, "fixed_missing_rate": float, "rel_tolerance": float,
 }
@@ -189,9 +177,14 @@ def read_experiment_config(path):
     for key in _CONFIG_KEYS:
         if key in _REQUIRED_KEYS and key not in section:
             raise FormatError(f"{path}: missing key {key!r}")
+    values = {}
+    for key, text in section.items():
+        try:
+            values[key] = _CONFIG_KEYS[key](text)
+        except ValueError as exc:
+            raise FormatError(f"{path}: {key}: {exc}") from None
+    fit_keys = {f.name: values.pop(f.name) for f in fields(FitOptions) if f.name in values}
     try:
-        values = {key: _CONFIG_KEYS[key](text) for key, text in section.items()}
-        fit_keys = {f.name: values.pop(f.name) for f in fields(FitOptions) if f.name in values}
         return ExperimentConfig(fit=FitOptions(k=len(values["norms"]), **fit_keys), **values)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None

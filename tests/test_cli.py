@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from spiked_pca import (
+    ExperimentConfig,
+    FitOptions,
     read_experiment_config,
     read_masked_csv,
     run_missing_rate_sweep,
@@ -380,17 +382,23 @@ def test_experiment_rejects_fixed_missing_rate_on_missing_rate_sweep(tmp_path, c
     assert not (tmp_path / "c.csv").exists()
 
 
-def test_experiment_rejects_min_m_before_any_fit(tmp_path, monkeypatch, capsys):
+def count_fits(monkeypatch):
+    """The matrices each sweep fit is handed, recorded in call order."""
     import spiked_pca.experiment
 
     fits = []
     fit_ppca = spiked_pca.experiment.fit_ppca
 
     def counting_fit(x, opts):
-        fits.append(opts)
+        fits.append(x)
         return fit_ppca(x, opts)
 
     monkeypatch.setattr(spiked_pca.experiment, "fit_ppca", counting_fit)
+    return fits
+
+
+def test_experiment_rejects_min_m_before_any_fit(tmp_path, monkeypatch, capsys):
+    fits = count_fits(monkeypatch)
     cfg = tmp_path / "exp.ini"
     cfg.write_text(EXPERIMENT_CONFIG.replace("grid = 0.0, 0.4, 0.8", "grid = 0.0, 0.4"))
     out = tmp_path / "c.csv"
@@ -400,3 +408,52 @@ def test_experiment_rejects_min_m_before_any_fit(tmp_path, monkeypatch, capsys):
     assert "min_m must lie in [0, 1), got 1.0" in capsys.readouterr().err
     assert fits == []
     assert not out.exists()
+
+
+def test_experiment_rejects_min_m_on_snr_sweep(tmp_path, monkeypatch, capsys):
+    # its sweep values are signal-to-noise ratios, not missing rates
+    fits = count_fits(monkeypatch)
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(
+        EXPERIMENT_CONFIG.replace("sweep_kind = missing_rate", "sweep_kind = snr_via_added_noise")
+        .replace("grid = 0.0, 0.4, 0.8", "grid = 0.0, 0.05")
+    )
+    out = tmp_path / "c.csv"
+    argv = ["experiment", "--config", str(cfg), "--out", str(out), "--compare-hypotheses"]
+    assert cli_main(argv + ["--min-m", "0.9"]) == 1
+    assert "min_m is only for the missing_rate sweep" in capsys.readouterr().err
+    assert fits == []
+    assert not out.exists()
+    assert cli_main(argv + ["--min-m", "0"]) == 0
+    assert len(fits) == 2 * 2  # two repetitions x two grid values
+    assert "rmse_snr_hypothesis=" in out.read_text()
+
+
+def test_generate_draws_what_a_sweep_fits(tmp_path, monkeypatch):
+    import spiked_pca.experiment
+
+    out = tmp_path / "data.csv"
+    assert cli_main(["generate", "--n", "30", "--d", "6", "--norms", "0.5,1.0",
+                     "--noise-var", "0.2", "--seed", "17", "--out", str(out)]) == 0
+    # repetition 0 of a one-rate sweep with the same seed, at rate 0
+    truths = []
+    component_r2 = spiked_pca.experiment.component_r2
+
+    def recording_r2(directions, gt):
+        truths.append(gt)
+        return component_r2(directions, gt)
+
+    monkeypatch.setattr(spiked_pca.experiment, "component_r2", recording_r2)
+    fits = count_fits(monkeypatch)
+    run_missing_rate_sweep(ExperimentConfig(
+        sweep_kind="missing_rate", grid=(0.0,), n=30, d=6, norms=(0.5, 1.0),
+        noise_variance=0.2, repetitions=1, base_seed=17, fit=FitOptions(k=2),
+    ))
+    (x,), (gt,) = fits, truths
+    assert x.mask.all()
+    written = read_masked_csv(str(out))
+    np.testing.assert_allclose(written.values, x.values, rtol=1e-5, atol=0)
+    lines = (tmp_path / "data.csv.truth.csv").read_text().splitlines()
+    assert lines[0] == "# noise_variance=0.2 seed=17"
+    directions = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    np.testing.assert_allclose(directions, gt.directions, rtol=1e-5, atol=0)

@@ -8,11 +8,11 @@ from spiked_pca import (
     ExperimentConfig,
     FitOptions,
     compare_hypotheses,
-    derive_cell_seed,
     run_missing_rate_sweep,
     run_snr_sweep,
     theory_r2_missing,
 )
+from spiked_pca.experiment import derive_cell_seed
 
 
 def small_config(**overrides):

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from spiked_pca import (
     FitOptions,
     FormatError,
     MaskedMatrix,
+    PpcaModel,
     apply_mcar_mask,
     make_ground_truth,
     read_experiment_config,
@@ -19,8 +21,10 @@ from spiked_pca import (
     write_curve_csv,
     write_ground_truth_csv,
     write_masked_csv,
+    write_model_csv,
 )
 from spiked_pca.fileio import _CONFIG_KEYS, CURVE_COLUMNS
+from spiked_pca.synthetic import GroundTruth
 
 
 def test_read_empty_cell_is_missing(tmp_path):
@@ -299,6 +303,66 @@ def test_ground_truth_sidecar(tmp_path):
     assert np.allclose(parsed, gt.directions, rtol=1e-5, atol=1e-9)
 
 
+def reference_line(cells):
+    """One small-table line built cell by cell: ``format(v, ".6g")`` for a
+    real, ``str`` for an integer."""
+    return ",".join(str(v) if isinstance(v, int) else format(float(v), ".6g") for v in cells)
+
+
+def special_matrix(shape, seed):
+    """Random reals of many magnitudes, about half replaced by WRITE_VALUES."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-12, 12, size=shape)
+    special = rng.random(shape) < 0.5
+    values[special] = rng.choice(WRITE_VALUES, size=int(special.sum()))
+    return values
+
+
+def test_curve_csv_matches_per_value_reference(tmp_path):
+    # each special value once as a sweep value (the two zeros sort as
+    # equal, so only -0.0), the reals cycling through them, and counts
+    # too large for 6 digits
+    sweep = sorted(set(WRITE_VALUES) - {0.0} | {-0.0})
+    cycle = WRITE_VALUES * 2
+    records = [
+        CurveRecord(v, 1 + i % 3, cycle[i], cycle[i + 1], 10**i, cycle[i + 2], cycle[i + 3])
+        for i, v in enumerate(sweep)
+    ]
+    p = tmp_path / "curve.csv"
+    summary = "rmse_snr_hypothesis=0.0123457 rmse_sample_hypothesis=1e-310"
+    write_curve_csv(reversed(records), str(p), summary=summary)
+    expected = "sweep_value,component,r2_mean,r2_std,n_reps,theory_r2,theory_alt_r2\n"
+    expected += "".join(reference_line(dataclasses.astuple(r)) + "\n" for r in records)
+    expected += f"# {summary}\n"
+    assert p.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_model_csv_matches_per_value_reference(tmp_path, k):
+    mean = special_matrix((7,), seed=k)
+    loadings = special_matrix((7, k), seed=10 + k)
+    model = PpcaModel(mean, loadings, 0.1234565, -1e300, 123, False, np.zeros(1), 0)
+    p = tmp_path / "model.csv"
+    write_model_csv(model, str(p))
+    expected = (
+        f"# ppca-model sigma2={format(0.1234565, '.6g')} log_likelihood={format(-1e300, '.6g')}"
+        f" n_iterations=123 converged=0 k={k}\n"
+    )
+    for mu, row in zip(mean, loadings):
+        expected += reference_line([mu, *row]) + "\n"
+    assert p.read_bytes() == expected.encode()
+
+
+def test_ground_truth_csv_matches_per_value_reference(tmp_path):
+    directions = special_matrix((9, 2), seed=5)
+    gt = GroundTruth(directions, 5e-324, np.ones(2))
+    p = tmp_path / "truth.csv"
+    write_ground_truth_csv(gt, str(p), seed=2**40)
+    expected = f"# noise_variance={format(5e-324, '.6g')} seed={2**40}\n"
+    expected += "".join(reference_line(row) + "\n" for row in directions)
+    assert p.read_bytes() == expected.encode()
+
+
 CONFIG_TEXT = """
 [experiment]
 sweep_kind = missing_rate
@@ -347,9 +411,12 @@ def test_read_experiment_config_errors(tmp_path):
     p.write_text(CONFIG_TEXT.replace("n = 60\n", ""))
     with pytest.raises(FormatError):
         read_experiment_config(str(p))
-    p.write_text(CONFIG_TEXT.replace("n = 60", "n = sixty"))
-    with pytest.raises(FormatError):
-        read_experiment_config(str(p))
+    # a value that does not parse is named by its key
+    for key, bad in (("n", "sixty"), ("grid", "0.1, x"), ("norms", "1.0,,0.5"),
+                     ("noise_variance", "small"), ("max_iterations", "2.5")):
+        p.write_text(re.sub(f"^{key} = .*$", f"{key} = {bad}", CONFIG_TEXT, flags=re.M))
+        with pytest.raises(FormatError, match=f"^{re.escape(str(p))}: {key}: "):
+            read_experiment_config(str(p))
     p.write_text(CONFIG_TEXT.replace("linspace(0, 0.8, 5)", "linspace(0, 0.8)"))
     with pytest.raises(FormatError, match="linspace"):
         read_experiment_config(str(p))
