@@ -101,8 +101,8 @@ def _cmd_snr(args):
 
 def _cmd_experiment(args):
     cfg = read_experiment_config(args.config)
-    if args.compare_hypotheses:  # before the sweep, so a bad flag costs no fit
-        check_rate("min_m", args.min_m, closed=False)
+    check_rate("min_m", args.min_m, closed=False)  # before the sweep, so a bad flag costs no fit
+    if args.compare_hypotheses:
         if args.min_m and cfg.sweep_kind != "missing_rate":
             raise DomainError("min_m is only for the missing_rate sweep")
     if cfg.sweep_kind == "missing_rate":

@@ -77,8 +77,32 @@ class _Point(NamedTuple):
     A: np.ndarray
     sigma2: float
     ll: float
-    Minv: np.ndarray  # per-sample inverse posterior precision, n x k x k
-    Z: np.ndarray  # posterior means, n x k
+    Minv: np.ndarray  # per-sample inverse posterior precisions, k x k x n
+    Z: np.ndarray  # posterior means, one column per sample, k x n
+
+
+def _spd_inverse(G, step, iteration):
+    """Invert a stack of SPD matrices in place by the sweep operator.
+
+    G is k x k x n with the stack index last. Sweeping the k pivots in turn
+    (Goodnight 1979) leaves every matrix's inverse in G; each pivot is a
+    Schur complement, so their logs sum to the log-determinant. Returns
+    (G, logdet). A pivot that is not positive, NaN included, raises
+    NumericalError naming ``step`` and ``iteration``.
+    """
+    logdet = 0.0
+    for p in range(G.shape[0]):
+        pivot = G[p, p].copy()
+        if not (pivot > 0.0).all():
+            raise NumericalError(f"{step} factorization failed at iteration {iteration}")
+        logdet += np.log(pivot)
+        row = G[p] / pivot
+        col = G[:, p].copy()
+        G -= col[:, None] * row
+        G[p] = row
+        G[:, p] = col / -pivot
+        G[p, p] = 1.0 / pivot
+    return G, logdet
 
 
 class _ObservedEm:
@@ -140,18 +164,12 @@ class _ObservedEm:
         # per-sample posterior precision M_n = A_n^T A_n + sigma2 I, built
         # from the mask-weighted sum of per-feature outer products
         T = (A[:, :, None] * A[:, None, :]).reshape(self.d, k * k)
-        M = (self.W @ T).reshape(n, k, k) + sigma2 * np.eye(k)
-        try:
-            L = np.linalg.cholesky(M)  # also the positive-definiteness check
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"E-step factorization failed at iteration {iteration}"
-            ) from exc
-        Minv = np.linalg.inv(M)
-        B = self.Y @ A  # rows are A_n^T y_n (the mask is already folded into Y)
-        Z = (Minv @ B[:, :, None])[:, :, 0]
-        logdet_m = 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
-        quad = self.yy_row - (B * Z).sum(axis=1)  # y^T y - b^T M^{-1} b
+        M = np.ascontiguousarray((self.W @ T).T)  # k*k x n
+        M[:: k + 1] += sigma2  # rows 0, k + 1, ... hold the diagonal
+        Minv, logdet_m = _spd_inverse(M.reshape(k, k, n), "E-step", iteration)
+        B = (self.Y @ A).T  # columns are A_n^T y_n (the mask is already folded into Y)
+        Z = (Minv * B).sum(axis=1)
+        quad = self.yy_row - (B * Z).sum(axis=0)  # y^T y - b^T M^{-1} b
         ll = -0.5 * (
             self.total_obs * math.log(2.0 * math.pi)
             + (self.total_obs - n * k) * math.log(sigma2)
@@ -165,22 +183,18 @@ class _ObservedEm:
     def mstep(self, p, iteration):
         """The M-step from p's posterior: the next parameters (A, sigma2)."""
         n, k = self.n, p.A.shape[1]
-        Ezz = p.sigma2 * p.Minv + p.Z[:, :, None] * p.Z[:, None, :]
+        Ezz = p.sigma2 * p.Minv + p.Z[:, None] * p.Z
         # each loading row solves sum_n w (z z^T) a_d = sum_n w y z
-        S1 = self.Y.T @ p.Z
-        S2 = (self.W.T @ Ezz.reshape(n, k * k)).reshape(self.d, k, k)
-        try:
-            A = np.linalg.solve(S2, S1[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"M-step factorization failed at iteration {iteration}"
-            ) from exc
+        S1 = p.Z @ self.Y
+        S2 = (Ezz.reshape(k * k, n) @ self.W).reshape(k, k, self.d)
+        S2inv, _ = _spd_inverse(S2.copy(), "M-step", iteration)
+        At = (S2inv * S1).sum(axis=1)  # the loadings, k x d
         # pooled noise variance over all observed entries, floored;
         # sum(A * S1) equals sum_n z_n^T A^T y_n
-        cross = float((A * S1).sum())
-        tr = float((S2 * (A[:, :, None] * A[:, None, :])).sum())
+        cross = float((At * S1).sum())
+        tr = float((S2 * (At[:, None] * At)).sum())
         sigma2 = max((self.sum_yy - 2.0 * cross + tr) / self.total_obs, SIGMA2_FLOOR)
-        return A, sigma2
+        return np.ascontiguousarray(At.T), sigma2
 
 
 def _extrapolate(theta0, theta1, theta2):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import spiked_pca.ppca
 from spiked_pca import (
     ExperimentConfig,
     FitOptions,
@@ -10,6 +11,7 @@ from spiked_pca import (
     write_curve_csv,
 )
 from spiked_pca.cli import cli_main
+from spiked_pca.ppca import _spd_inverse
 
 
 def parse_kv(output):
@@ -218,22 +220,26 @@ def test_snr_overflow_exit_code(tmp_path, capsys, rows):
     assert "nan" not in captured.out
 
 
-@pytest.mark.parametrize("step, routine", [("E-step", "cholesky"), ("M-step", "solve")])
-def test_factorization_failure_exit_code(tmp_path, monkeypatch, capsys, step, routine):
+# the start's E-step makes the first inversion, the first M-step the second
+@pytest.mark.parametrize("step, call", [("E-step", 1), ("M-step", 2)], ids=["E-step", "M-step"])
+def test_factorization_failure_exit_code(tmp_path, monkeypatch, capsys, step, call):
     data_path = str(tmp_path / "data.csv")
     cli_main(
         ["generate", "--n", "40", "--d", "10", "--norms", "1.0",
          "--noise-var", "0.1", "--seed", "5", "--out", data_path]
     )
 
-    def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("injected")
+    calls = []
 
-    monkeypatch.setattr(np.linalg, routine, fail)
+    def fail_nth(G, step, iteration):
+        calls.append(step)
+        return _spd_inverse(-G if len(calls) == call else G, step, iteration)
+
+    monkeypatch.setattr(spiked_pca.ppca, "_spd_inverse", fail_nth)
     code = cli_main(["fit", "--k", "1", "--in", data_path,
                      "--out", str(tmp_path / "model.csv")])
     assert code == 2
-    assert f"{step} factorization failed" in capsys.readouterr().err
+    assert f"{step} factorization failed at iteration 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -406,6 +412,19 @@ def test_experiment_rejects_min_m_before_any_fit(tmp_path, monkeypatch, capsys):
                      "--compare-hypotheses", "--min-m", "1.0"])
     assert code == 1
     assert "min_m must lie in [0, 1), got 1.0" in capsys.readouterr().err
+    assert fits == []
+    assert not out.exists()
+
+
+def test_experiment_rejects_min_m_without_compare_hypotheses(tmp_path, monkeypatch, capsys):
+    # --min-m only acts with --compare-hypotheses, but a value outside
+    # [0, 1) is an error either way
+    fits = count_fits(monkeypatch)
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(EXPERIMENT_CONFIG.replace("grid = 0.0, 0.4, 0.8", "grid = 0.4"))
+    out = tmp_path / "c.csv"
+    assert cli_main(["experiment", "--config", str(cfg), "--out", str(out), "--min-m", "7"]) == 1
+    assert "min_m must lie in [0, 1), got 7.0" in capsys.readouterr().err
     assert fits == []
     assert not out.exists()
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import spiked_pca.ppca
 from spiked_pca import (
     DomainError,
     FitOptions,
@@ -16,7 +17,7 @@ from spiked_pca import (
 )
 from spiked_pca.masked import center_observed
 from spiked_pca.metrics import r_squared
-from spiked_pca.ppca import _extrapolate, _ObservedEm
+from spiked_pca.ppca import _extrapolate, _ObservedEm, _spd_inverse
 
 
 def spiked(d, n, snr, sigma2=0.1, k=1, seed=0):
@@ -226,7 +227,7 @@ def em_path(x, k, seed, steps, start=_ObservedEm.start):
     return em, path
 
 
-@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3])
 def test_fit_matches_per_row_reference_em(k):
     x = reference_data(k)
     em, path = em_path(x, k, seed=92, steps=4)
@@ -276,16 +277,16 @@ def test_failed_extrapolation_estep_keeps_plain_em_point(monkeypatch):
     _, (p0, _, p2) = em_path(x, 2, seed=92, steps=2)
     opts = FitOptions(k=2, seed=92, max_iterations=2)
     assert not np.array_equal(fit_ppca(x, opts).loadings, p2.A)  # accepted unless forced
-    cholesky = np.linalg.cholesky
     calls = []
 
-    def fail_third(m):
-        calls.append(m)
-        if len(calls) == 3:
-            raise np.linalg.LinAlgError("injected")
-        return cholesky(m)
+    def fail_third_estep(G, step, iteration):
+        if step == "E-step":
+            calls.append(iteration)
+            if len(calls) == 3:
+                G = -G  # negative definite: the first pivot fails
+        return _spd_inverse(G, step, iteration)
 
-    monkeypatch.setattr(np.linalg, "cholesky", fail_third)
+    monkeypatch.setattr(spiked_pca.ppca, "_spd_inverse", fail_third_estep)
     model = fit_ppca(x, opts)
     assert len(calls) == 4
     assert np.array_equal(model.loadings, p2.A)
@@ -359,16 +360,50 @@ def test_capped_fit_reports_unconverged(max_iterations):
     assert model.log_likelihood == model.loglik_history[-1]
 
 
-@pytest.mark.parametrize("step, routine", [("E-step", "cholesky"), ("M-step", "solve")])
-def test_factorization_failure_raises_numerical_error(monkeypatch, step, routine):
+# the start's E-step makes the first inversion, the first M-step the second
+@pytest.mark.parametrize("step, call", [("E-step", 1), ("M-step", 2)], ids=["E-step", "M-step"])
+def test_factorization_failure_raises_numerical_error(monkeypatch, step, call):
     gt, data = spiked(d=10, n=40, snr=10.0, seed=95)
+    calls = []
 
-    def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("injected")
+    def fail_nth(G, step, iteration):
+        calls.append(step)
+        return _spd_inverse(-G if len(calls) == call else G, step, iteration)
 
-    monkeypatch.setattr(np.linalg, routine, fail)
+    monkeypatch.setattr(spiked_pca.ppca, "_spd_inverse", fail_nth)
     with pytest.raises(NumericalError, match=f"{step} factorization failed at iteration 0"):
         fit_ppca(MaskedMatrix.complete(data), FitOptions(k=1))
+    assert calls[-1] == step
+
+
+def spd_stack(k, n, seed):
+    """n random well-conditioned SPD k x k matrices, stack index first."""
+    X = np.random.default_rng(seed).standard_normal((n, k, k + 3))
+    return X @ X.transpose(0, 2, 1) + 0.1 * np.eye(k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_spd_inverse_matches_inv_and_slogdet(k):
+    M = spd_stack(k, 50, seed=140 + k)
+    inv, logdet = _spd_inverse(M.transpose(1, 2, 0).copy(), "E-step", 0)
+    np.testing.assert_allclose(inv.transpose(2, 0, 1), np.linalg.inv(M), rtol=1e-12)
+    sign, expected = np.linalg.slogdet(M)
+    assert (sign == 1.0).all()
+    np.testing.assert_allclose(logdet, expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [[[1.0, 2.0], [2.0, 1.0]], [[1.0, np.nan], [np.nan, 1.0]], [[np.nan, 0.0], [0.0, 1.0]]],
+    ids=["indefinite", "nan_off_diagonal", "nan_pivot"],
+)
+def test_spd_inverse_rejects_non_spd_matrix(bad):
+    # one bad matrix among SPD ones fails the whole stack
+    M = spd_stack(2, 5, seed=150)
+    M[3] = bad
+    G = M.transpose(1, 2, 0).copy()
+    with pytest.raises(NumericalError, match="^M-step factorization failed at iteration 7$"):
+        _spd_inverse(G, "M-step", 7)
 
 
 def test_extract_directions_diagonal_case():
