@@ -17,7 +17,6 @@ from .experiment import (
     CellResult,
     CurveRecord,
     ExperimentConfig,
-    SweepResult,
     compare_hypotheses,
     run_missing_rate_sweep,
     run_snr_sweep,
@@ -30,15 +29,14 @@ from .fileio import (
     write_masked_csv,
     write_model_csv,
 )
-from .masked import MaskedMatrix, apply_mcar_mask, center_observed
+from .masked import MaskedMatrix, apply_mcar_mask
 from .metrics import (
-    add_isotropic_noise,
     component_r2,
     covariance_eigenvalues,
     estimate_snr,
     top_eigvec_complete,
 )
-from .ppca import FitOptions, PpcaModel, extract_directions, fit_ppca
+from .ppca import FitOptions, extract_directions, fit_ppca
 from .synthetic import make_ground_truth, sample_dataset
 from .theory import (
     critical_alpha,
@@ -59,12 +57,8 @@ __all__ = [
     "FormatError",
     "MaskedMatrix",
     "NumericalError",
-    "PpcaModel",
     "SpikedPcaError",
-    "SweepResult",
-    "add_isotropic_noise",
     "apply_mcar_mask",
-    "center_observed",
     "compare_hypotheses",
     "component_r2",
     "covariance_eigenvalues",

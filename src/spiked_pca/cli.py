@@ -124,7 +124,7 @@ def _cmd_experiment(args):
             print(
                 f"{'failed' if cell.error else 'unconverged'} cell: "
                 f"repetition {cell.repetition}, "
-                f"sweep value {cell.sweep_value}: {cell.error or cap}",
+                f"grid value {format(cell.sweep_value, REAL_FORMAT)}: {cell.error or cap}",
                 file=sys.stderr,
             )
     if summary:

@@ -116,8 +116,8 @@ class _ObservedEm:
         obs_per_row = mask.sum(axis=1)
         self.n_skipped = int(np.count_nonzero(obs_per_row == 0))
         self.total_obs = float(obs_per_row.sum())
-        self.yy_row = np.einsum("nd,nd->n", self.Y, self.Y)
-        self.sum_yy = float(self.yy_row.sum())
+        self.yy_col = np.einsum("nd,nd->d", self.Y, self.Y)
+        self.sum_yy = float(self.yy_col.sum())
 
     def start(self, k, seed):
         """The spectral start and its E-step.
@@ -139,7 +139,7 @@ class _ObservedEm:
         scale = 1.0 / (n_eff * p * p)
         Q = np.random.default_rng(seed).standard_normal((self.d, k + SPECTRAL_OVERSAMPLE))
         with np.errstate(over="ignore", invalid="ignore"):
-            shrink = ((1.0 - p) * np.einsum("nd,nd->d", self.Y, self.Y))[:, None]
+            shrink = ((1.0 - p) * self.yy_col)[:, None]
 
             def cov_times(Q):
                 return (self.Y.T @ (self.Y @ Q) - shrink * Q) * scale
@@ -169,12 +169,12 @@ class _ObservedEm:
         Minv, logdet_m = _spd_inverse(M.reshape(k, k, n), "E-step", iteration)
         B = (self.Y @ A).T  # columns are A_n^T y_n (the mask is already folded into Y)
         Z = (Minv * B).sum(axis=1)
-        quad = self.yy_row - (B * Z).sum(axis=0)  # y^T y - b^T M^{-1} b
+        quad = self.sum_yy - (B * Z).sum()  # sum over n of y^T y - b^T M^{-1} b
         ll = -0.5 * (
             self.total_obs * math.log(2.0 * math.pi)
             + (self.total_obs - n * k) * math.log(sigma2)
             + logdet_m.sum()
-            + quad.sum() / sigma2
+            + quad / sigma2
         )
         if not math.isfinite(ll):
             raise NumericalError(f"log-likelihood non-finite at iteration {iteration}")
@@ -187,13 +187,11 @@ class _ObservedEm:
         # each loading row solves sum_n w (z z^T) a_d = sum_n w y z
         S1 = p.Z @ self.Y
         S2 = (Ezz.reshape(k * k, n) @ self.W).reshape(k, k, self.d)
-        S2inv, _ = _spd_inverse(S2.copy(), "M-step", iteration)
+        S2inv, _ = _spd_inverse(S2, "M-step", iteration)
         At = (S2inv * S1).sum(axis=1)  # the loadings, k x d
-        # pooled noise variance over all observed entries, floored;
-        # sum(A * S1) equals sum_n z_n^T A^T y_n
-        cross = float((At * S1).sum())
-        tr = float((S2 * (At[:, None] * At)).sum())
-        sigma2 = max((self.sum_yy - 2.0 * cross + tr) / self.total_obs, SIGMA2_FLOOR)
+        # pooled noise variance over all observed entries, floored; by the
+        # normal equations the expected residual is sum y^2 - sum_d a_d^T S1_d
+        sigma2 = max((self.sum_yy - float((At * S1).sum())) / self.total_obs, SIGMA2_FLOOR)
         return np.ascontiguousarray(At.T), sigma2
 
 

@@ -361,11 +361,22 @@ def test_experiment_reports_unconverged_cells(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 * 3  # two repetitions x three grid values
     assert all(line.startswith("unconverged cell: repetition ") for line in err)
-    assert "sweep value 0.8: stopped at max_iterations (2)" in err[-1]
+    assert "grid value 0.8: stopped at max_iterations (2)" in err[-1]
     # the flags go to stderr only; the curve CSV is the library's
     expected = tmp_path / "expected.csv"
     write_curve_csv(run_missing_rate_sweep(read_experiment_config(str(cfg))), str(expected))
     assert out.read_bytes() == expected.read_bytes()
+
+
+def test_experiment_prints_grid_values_in_the_number_format(tmp_path, capsys):
+    # linspace(0, 0.3, 7)[1] is 0.049999999999999996, which the curve CSV writes as 0.05
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(EXPERIMENT_CONFIG.replace("grid = 0.0, 0.4, 0.8", "grid = linspace(0, 0.3, 7)")
+                   .replace("repetitions = 2", "repetitions = 1")
+                   .replace("max_iterations = 300", "max_iterations = 2"))
+    assert cli_main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert "unconverged cell: repetition 0, grid value 0.05: stopped at max_iterations (2)" in err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -13,7 +13,6 @@ from spiked_pca import (
     FitOptions,
     FormatError,
     MaskedMatrix,
-    PpcaModel,
     apply_mcar_mask,
     make_ground_truth,
     read_experiment_config,
@@ -24,6 +23,7 @@ from spiked_pca import (
     write_model_csv,
 )
 from spiked_pca.fileio import _CONFIG_KEYS, CURVE_COLUMNS
+from spiked_pca.ppca import PpcaModel
 from spiked_pca.synthetic import GroundTruth
 
 

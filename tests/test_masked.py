@@ -6,8 +6,8 @@ from spiked_pca import (
     MaskedMatrix,
     NumericalError,
     apply_mcar_mask,
-    center_observed,
 )
+from spiked_pca.masked import center_observed
 
 
 def test_mask_rate_zero_observes_everything():

@@ -5,7 +5,6 @@ from spiked_pca import (
     DomainError,
     MaskedMatrix,
     NumericalError,
-    add_isotropic_noise,
     apply_mcar_mask,
     component_r2,
     covariance_eigenvalues,
@@ -14,7 +13,7 @@ from spiked_pca import (
     sample_dataset,
     top_eigvec_complete,
 )
-from spiked_pca.metrics import SnrEstimate, r_squared
+from spiked_pca.metrics import SnrEstimate, add_isotropic_noise, r_squared
 
 
 def test_r_squared_geometry():
