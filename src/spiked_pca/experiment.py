@@ -72,9 +72,10 @@ SWEEP_KINDS = {"missing_rate": check_rate, "snr_via_added_noise": check_nonnegat
 class ExperimentConfig:
     """One sweep definition: grid, model dimensions and fit settings.
 
-    Valid once built: each grid value obeys its sweep kind's rule (a rate,
-    or a finite nonnegative added variance), the norms and noise variance
-    obey :func:`make_ground_truth`'s, ``fixed_missing_rate`` is nonzero
+    Valid once built: the grid is strictly ascending and each value obeys
+    its sweep kind's rule (a rate, or a finite nonnegative added variance),
+    the norms and noise variance obey :func:`make_ground_truth`'s, ``d``
+    exceeds the number of norms, ``fixed_missing_rate`` is nonzero
     only on the snr_via_added_noise sweep, and ``fit.seed`` is 0.
     """
 
@@ -96,13 +97,13 @@ class ExperimentConfig:
         grid = tuple(check(f"{self.sweep_kind} grid value", g) for g in self.grid)
         if not grid:
             raise DomainError("grid must be nonempty")
-        if any(b < a for a, b in zip(grid, grid[1:])):
-            raise DomainError("grid must be sorted ascending")
+        if any(b <= a for a, b in zip(grid, grid[1:])):
+            raise DomainError("grid must be strictly ascending")
         object.__setattr__(self, "grid", grid)
         norms, noise_variance = _check_spikes(self.norms, self.noise_variance)
         object.__setattr__(self, "norms", tuple(norms))
         object.__setattr__(self, "noise_variance", noise_variance)
-        for name, low in (("n", 2), ("d", 2), ("repetitions", 1), ("base_seed", 0)):
+        for name, low in (("n", 2), ("d", len(norms) + 1), ("repetitions", 1), ("base_seed", 0)):
             check_integer(name, getattr(self, name), low)
         m = check_rate("fixed_missing_rate", self.fixed_missing_rate)
         if m and self.sweep_kind == "missing_rate":
@@ -179,12 +180,9 @@ def _added_noise_cells(cfg, gt, data, rep):
     """Mask the repetition's dataset once, then add each grid variance of noise to it."""
     m = cfg.fixed_missing_rate
     masked = apply_mcar_mask(data, m, derive_cell_seed(cfg.base_seed, rep, 0, STREAM_MASK))
-    # squared column norms in component order (descending), however
-    # cfg.norms was given
-    norms2 = (gt.directions ** 2).sum(axis=0)
     for ci, sigma2_added in enumerate(cfg.grid):
         seed = derive_cell_seed(cfg.base_seed, rep, ci, STREAM_NOISE)
-        snrs = norms2 / (cfg.noise_variance + sigma2_added)
+        snrs = gt.snr_per_component * gt.noise_variance / (gt.noise_variance + sigma2_added)
         yield add_isotropic_noise(masked, sigma2_added, seed), snrs, snrs, m
 
 

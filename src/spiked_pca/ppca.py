@@ -201,20 +201,21 @@ def _extrapolate(theta0, theta1, theta2):
     Each theta is a pair (A, sigma2). r = theta1 - theta0 and
     v = theta2 - 2 theta1 + theta0 for two EM steps theta0 -> theta1 ->
     theta2; alpha = min(-|r| / |v|, -1), and alpha = -1 gives theta2
-    itself. Returns None when v vanishes or the extrapolated noise
-    variance is not above the floor.
+    itself. Where the step is undefined (v vanishes, or the extrapolated
+    noise variance is not above the floor) it returns theta2 itself, the
+    plain EM point; it never returns None.
     """
     (a0, s0), (a1, s1), (a2, s2) = theta0, theta1, theta2
     r_a, v_a = a1 - a0, a2 - 2.0 * a1 + a0
     r_s, v_s = s1 - s0, s2 - 2.0 * s1 + s0
     norm_v = math.sqrt(float((v_a ** 2).sum()) + v_s ** 2)
     if norm_v == 0.0:
-        return None
+        return theta2
     norm_r = math.sqrt(float((r_a ** 2).sum()) + r_s ** 2)
     alpha = min(-norm_r / norm_v, -1.0)
     sigma2 = s0 - 2.0 * alpha * r_s + alpha ** 2 * v_s
     if not sigma2 > SIGMA2_FLOOR:
-        return None
+        return theta2
     return a0 - 2.0 * alpha * r_a + alpha ** 2 * v_a, sigma2
 
 
@@ -224,11 +225,11 @@ def fit_ppca(x, opts):
     EM starts from the spectral start (``_ObservedEm.start``). Each cycle
     takes two EM steps theta0 -> theta1 -> theta2 over (A, sigma2) and
     extrapolates along them (Varadhan & Roland 2008). theta2 gets no
-    E-step of its own unless it is kept: the extrapolated point is kept
-    if its noise variance is above the floor, its E-step succeeds and its
-    log-likelihood is at least that of theta1; otherwise the cycle keeps
-    theta2, the plain EM point. A cycle thus costs two M-steps and two
-    E-steps, three after a rejection.
+    E-step of its own unless it is kept: the extrapolated point, theta2
+    itself where the step is undefined, is kept if its E-step succeeds
+    and its log-likelihood is at least that of theta1; otherwise the
+    cycle keeps theta2, the plain EM point. A cycle thus costs two
+    M-steps and two E-steps, three after a rejection.
 
     Parameters
     ----------
@@ -257,30 +258,23 @@ def fit_ppca(x, opts):
     em = _ObservedEm(centered)
     p = em.start(k, opts.seed)
     history = [p.ll]
-    converged = False
     n_iter = 0
     streak = 0
-    while n_iter < opts.max_iterations:
+    while n_iter < opts.max_iterations and streak < TOLERANCE_STREAK:
         p0 = p
         p = p1 = em.estep(*em.mstep(p0, n_iter), n_iter + 1)
         n_iter += 1
         if n_iter < opts.max_iterations:
             theta2 = em.mstep(p1, n_iter)
             n_iter += 1
-            theta = _extrapolate(p0[:2], p1[:2], theta2)
-            q = None
-            if theta is not None:
-                try:
-                    q = em.estep(*theta, n_iter)
-                except NumericalError:
-                    pass  # fall back to the plain EM point
+            try:
+                q = em.estep(*_extrapolate(p0[:2], p1[:2], theta2), n_iter)
+            except NumericalError:
+                q = None  # fall back to the plain EM point
             p = q if q is not None and q.ll >= p1.ll else em.estep(*theta2, n_iter)
         history.append(p.ll)
         rel = (p.ll - p0.ll) / abs(p0.ll)
         streak = streak + 1 if abs(rel) < opts.rel_tolerance else 0
-        if streak >= TOLERANCE_STREAK:
-            converged = True
-            break
 
     return PpcaModel(
         mean=mean,
@@ -288,7 +282,7 @@ def fit_ppca(x, opts):
         noise_variance=float(p.sigma2),
         log_likelihood=p.ll,
         n_iterations=n_iter,
-        converged=converged,
+        converged=streak >= TOLERANCE_STREAK,
         loglik_history=np.asarray(history),
         n_skipped_rows=em.n_skipped,
     )

@@ -399,6 +399,14 @@ def test_experiment_rejects_fixed_missing_rate_on_missing_rate_sweep(tmp_path, c
     assert not (tmp_path / "c.csv").exists()
 
 
+def test_experiment_rejects_repeated_grid_value(tmp_path, capsys):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(EXPERIMENT_CONFIG.replace("grid = 0.0, 0.4, 0.8", "grid = 0.1, 0.1"))
+    assert cli_main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == 1
+    assert "grid must be strictly ascending" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
+
+
 def count_fits(monkeypatch):
     """The matrices each sweep fit is handed, recorded in call order."""
     import spiked_pca.experiment

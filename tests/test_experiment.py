@@ -111,6 +111,19 @@ def test_config_validation():
         small_config(fit=FitOptions(k=2, seed=12345))
 
 
+def test_config_rejects_d_that_cannot_hold_its_components():
+    # two components need D > 2, which the sweep would only find at its first draw
+    with pytest.raises(DomainError, match="d must be >= 3, got 2"):
+        small_config(d=2)
+    assert small_config(d=3).d == 3
+
+
+def test_config_rejects_repeated_grid_value():
+    # a repeated value would give two curve rows for one (sweep value, component)
+    with pytest.raises(DomainError, match="grid must be strictly ascending"):
+        small_config(grid=(0.1, 0.1))
+
+
 @pytest.mark.parametrize("seed", [1.5, -1, True], ids=["float", "negative", "bool"])
 def test_config_rejects_invalid_base_seed(seed):
     # the cell seeds are derived from an integer, so a float would run as

@@ -270,6 +270,16 @@ def test_rejected_extrapolation_keeps_plain_em_point(monkeypatch):
     assert (np.diff(h) / np.abs(h[:-1])).min() >= -1e-12
 
 
+@pytest.mark.parametrize("sigma2s", [(0.5, 0.5, 0.5), (1.0, 0.4, 0.1)],
+                         ids=["v_vanishes", "sigma2_below_floor"])
+def test_extrapolate_returns_theta2_where_the_step_is_undefined(sigma2s):
+    # with equal loadings, sigma2 falling 1.0 -> 0.4 -> 0.1 gives r = -0.6,
+    # v = 0.3 and alpha = -2: the step lands at 1.0 - 2.4 + 1.2 = -0.2
+    A = np.arange(6.0).reshape(3, 2)
+    theta0, theta1, theta2 = ((A, s) for s in sigma2s)
+    assert _extrapolate(theta0, theta1, theta2) is theta2
+
+
 def test_failed_extrapolation_estep_keeps_plain_em_point(monkeypatch):
     # E-steps of one cycle: the start, the first EM step, then the
     # extrapolated point; the second EM step gets one only as a fallback
