@@ -9,7 +9,7 @@ roughly half a minute.
 
 import numpy as np
 
-from spiked_pca import ExperimentConfig, FitOptions, run_missing_rate_sweep, write_curve_csv
+from spiked_pca import ExperimentConfig, FitOptions, run_sweep, write_curve_csv
 
 cfg = ExperimentConfig(
     sweep_kind="missing_rate",
@@ -23,7 +23,7 @@ cfg = ExperimentConfig(
     fit=FitOptions(k=2),
 )
 
-result = run_missing_rate_sweep(cfg)
+result = run_sweep(cfg)
 print(f"{len(result)} records, {len(result.failures)} failed cells")
 print(f"{'m':>6} {'comp':>4} {'measured':>9} {'+-std':>7} {'reduced-SNR':>12} {'reduced-N':>10}")
 for r in result:

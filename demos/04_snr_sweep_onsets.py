@@ -9,7 +9,7 @@ before learning starts: the onset moves right. Takes about a minute.
 
 import math
 
-from spiked_pca import ExperimentConfig, FitOptions, run_snr_sweep
+from spiked_pca import ExperimentConfig, FitOptions, run_sweep
 
 d, n = 300, 600
 alpha = n / d
@@ -30,7 +30,7 @@ for m in (0.0, 0.25, 0.5):
         fit=FitOptions(k=1),
         fixed_missing_rate=m,
     )
-    result = run_snr_sweep(cfg)
+    result = run_sweep(cfg)
     records = sorted(result, key=lambda r: r.sweep_value)
     onset = next((r.sweep_value for r in records if r.r2_mean > 0.1), float("inf"))
     predicted = 1.0 / ((1.0 - m) * math.sqrt(alpha))

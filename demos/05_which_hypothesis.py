@@ -17,7 +17,7 @@ from spiked_pca import (
     ExperimentConfig,
     FitOptions,
     compare_hypotheses,
-    run_missing_rate_sweep,
+    run_sweep,
 )
 
 cfg = ExperimentConfig(
@@ -32,7 +32,7 @@ cfg = ExperimentConfig(
     fit=FitOptions(k=1),
 )
 
-result = run_missing_rate_sweep(cfg)
+result = run_sweep(cfg)
 print(f"{'m':>6} {'measured':>9} {'reduced-SNR':>12} {'reduced-N':>10}")
 for r in result:
     print(f"{r.sweep_value:6.3f} {r.r2_mean:9.4f} {r.theory_r2:12.4f} {r.theory_alt_r2:10.4f}")

@@ -20,6 +20,7 @@ from .experiment import (
     compare_hypotheses,
     run_missing_rate_sweep,
     run_snr_sweep,
+    run_sweep,
 )
 from .fileio import (
     read_experiment_config,
@@ -70,8 +71,7 @@ __all__ = [
     "make_ground_truth",
     "read_experiment_config",
     "read_masked_csv",
-    "run_missing_rate_sweep",
-    "run_snr_sweep",
+    "run_sweep",
     "sample_dataset",
     "theory_r2_complete",
     "theory_r2_effective_sample",

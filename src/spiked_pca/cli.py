@@ -8,12 +8,7 @@ import argparse
 import sys
 
 from .errors import DomainError, FormatError, NumericalError, check_integer, check_rate
-from .experiment import (
-    compare_hypotheses,
-    draw_dataset,
-    run_missing_rate_sweep,
-    run_snr_sweep,
-)
+from .experiment import compare_hypotheses, draw_dataset, run_sweep
 from .fileio import (
     REAL_FORMAT,
     read_experiment_config,
@@ -102,22 +97,9 @@ def _cmd_snr(args):
 def _cmd_experiment(args):
     cfg = read_experiment_config(args.config)
     check_rate("min_m", args.min_m, closed=False)  # before the sweep, so a bad flag costs no fit
-    if args.compare_hypotheses:
-        if args.min_m and cfg.sweep_kind != "missing_rate":
-            raise DomainError("min_m is only for the missing_rate sweep")
-    if cfg.sweep_kind == "missing_rate":
-        result = run_missing_rate_sweep(cfg)
-    else:
-        result = run_snr_sweep(cfg)
-    summary = None
-    if args.compare_hypotheses:
-        rmse_snr, rmse_sample = compare_hypotheses(result, args.min_m)
-        summary = (
-            f"rmse_snr_hypothesis={format(rmse_snr, REAL_FORMAT)} "
-            f"rmse_sample_hypothesis={format(rmse_sample, REAL_FORMAT)}"
-        )
-    write_curve_csv(result, args.out, summary=summary)
-    print(f"wrote {len(result)} records to {args.out}")
+    if args.compare_hypotheses and args.min_m and cfg.sweep_kind != "missing_rate":
+        raise DomainError("min_m is only for the missing_rate sweep")
+    result = run_sweep(cfg)
     cap = f"stopped at max_iterations ({cfg.fit.max_iterations})"
     for cell in result.cells:
         if cell.error or not cell.converged:
@@ -127,6 +109,15 @@ def _cmd_experiment(args):
                 f"grid value {format(cell.sweep_value, REAL_FORMAT)}: {cell.error or cap}",
                 file=sys.stderr,
             )
+    summary = None
+    if args.compare_hypotheses:
+        rmse_snr, rmse_sample = compare_hypotheses(result, args.min_m)
+        summary = (
+            f"rmse_snr_hypothesis={format(rmse_snr, REAL_FORMAT)} "
+            f"rmse_sample_hypothesis={format(rmse_sample, REAL_FORMAT)}"
+        )
+    write_curve_csv(result, args.out, summary=summary)
+    print(f"wrote {len(result)} records to {args.out}")
     if summary:
         print(summary)
     return 0
@@ -201,15 +192,12 @@ def cli_main(argv=None):
         return 0 if (exc.code or 0) == 0 else 1
     try:
         return args.func(args)
-    except (DomainError, FormatError) as exc:
+    except (DomainError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 def entry():

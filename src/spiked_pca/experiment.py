@@ -1,9 +1,10 @@
 """Sweep protocols: run many masked fits over a grid and aggregate.
 
-Two protocols are provided. The missing-rate sweep draws a fresh dataset
-per repetition and re-masks it for every grid value. The
-signal-to-noise sweep draws a low-noise dataset per repetition, fixes one
-mask, and then adds increasing isotropic noise to the clean masked data.
+Two protocols are provided, and :func:`run_sweep` runs the one a config
+names. The missing-rate sweep draws a fresh dataset per repetition and
+re-masks it for every grid value. The signal-to-noise sweep draws a
+low-noise dataset per repetition, fixes one mask, and then adds
+increasing isotropic noise to the clean masked data.
 Every cell of the (grid x repetition) lattice gets its own seed derived
 from the base seed, so results are reproducible and independent of
 execution order.
@@ -64,10 +65,6 @@ def draw_dataset(n, d, norms, noise_variance, base_seed, repetition):
     return gt, sample_dataset(gt, n, seed)
 
 
-# each sweep kind with the rule its grid values obey
-SWEEP_KINDS = {"missing_rate": check_rate, "snr_via_added_noise": check_nonnegative}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One sweep definition: grid, model dimensions and fit settings.
@@ -93,7 +90,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.sweep_kind not in SWEEP_KINDS:
             raise DomainError(f"unknown sweep kind {self.sweep_kind!r}")
-        check = SWEEP_KINDS[self.sweep_kind]
+        check, _ = SWEEP_KINDS[self.sweep_kind]
         grid = tuple(check(f"{self.sweep_kind} grid value", g) for g in self.grid)
         if not grid:
             raise DomainError("grid must be nonempty")
@@ -170,14 +167,19 @@ class SweepResult:
 
 
 def _missing_rate_cells(cfg, gt, data, rep):
-    """Re-mask the repetition's dataset at every rate of the grid."""
+    """Measure alignment against the missing rate: re-mask the
+    repetition's dataset at every rate of the grid, each cell with its
+    own mask seed."""
     for ci, m in enumerate(cfg.grid):
         seed = derive_cell_seed(cfg.base_seed, rep, ci, STREAM_MASK)
         yield apply_mcar_mask(data, m, seed), [m] * len(cfg.norms), gt.snr_per_component, m
 
 
 def _added_noise_cells(cfg, gt, data, rep):
-    """Mask the repetition's dataset once, then add each grid variance of noise to it."""
+    """Measure alignment against the signal-to-noise ratio: mask the
+    repetition's dataset once at ``cfg.fixed_missing_rate``, then add
+    fresh isotropic noise of each grid variance to the clean masked data.
+    The recorded sweep value is S_i = ||a_i||^2 / (sigma2 + sigma2_added)."""
     m = cfg.fixed_missing_rate
     masked = apply_mcar_mask(data, m, derive_cell_seed(cfg.base_seed, rep, 0, STREAM_MASK))
     for ci, sigma2_added in enumerate(cfg.grid):
@@ -186,20 +188,29 @@ def _added_noise_cells(cfg, gt, data, rep):
         yield add_isotropic_noise(masked, sigma2_added, seed), snrs, snrs, m
 
 
-def _run_lattice(cfg, kind, cells):
-    """Fit every (repetition, grid cell) and fold the alignments into records.
+# each sweep kind: the rule its grid values obey, and its cell generator
+SWEEP_KINDS = {
+    "missing_rate": (check_rate, _missing_rate_cells),
+    "snr_via_added_noise": (check_nonnegative, _added_noise_cells),
+}
 
-    ``cfg`` must be of sweep kind ``kind``, whose ``cells(cfg, gt, data,
-    rep)`` yields, per grid cell of a repetition in order, the matrix to
-    fit, the recorded sweep values, the per-component signal-to-noise
-    vector S and the missing rate m, from which both theory columns follow.
+
+def run_sweep(cfg):
+    """Fit every (repetition, grid cell) of the sweep kind ``cfg.sweep_kind``
+    names and fold the alignments into records.
+
+    All repetitions share one ground truth; each repetition draws a fresh
+    dataset, which the kind's cell generator turns, per grid cell in
+    order, into the matrix to fit, the recorded sweep values, the
+    per-component signal-to-noise vector S and the missing rate m, from
+    which both theory columns follow. Every cell gets its own fit seed.
     Every fit becomes one CellResult; a fit that raises keeps its message
-    and no R^2. Each grid cell with at least one surviving fit is
-    summarized by the sample mean and, for two or more surviving
-    repetitions, the sample standard deviation.
+    and no R^2, and is not retried, so the aggregates stay unbiased. Each
+    grid cell with at least one surviving fit is summarized by the sample
+    mean and, for two or more surviving repetitions, the sample standard
+    deviation.
     """
-    if cfg.sweep_kind != kind:
-        raise DomainError(f"config is for sweep kind {cfg.sweep_kind!r}")
+    _, cells = SWEEP_KINDS[cfg.sweep_kind]
     alpha = cfg.n / cfg.d
     results = []
     points = {}  # grid cell -> (sweep values, S, m), the same in every repetition
@@ -239,27 +250,8 @@ def _run_lattice(cfg, kind, cells):
     return SweepResult(tuple(records), tuple(results))
 
 
-def run_missing_rate_sweep(cfg):
-    """Measure alignment against the missing rate.
-
-    All repetitions share one ground truth; each repetition gets a
-    fresh dataset and each (repetition, rate) cell its own mask and fit
-    seed. Failed fits are recorded on the result, not retried, so the
-    aggregates stay unbiased.
-    """
-    return _run_lattice(cfg, "missing_rate", _missing_rate_cells)
-
-
-def run_snr_sweep(cfg):
-    """Measure alignment against the signal-to-noise ratio.
-
-    Per repetition a low-noise dataset is drawn and a single mask at
-    ``cfg.fixed_missing_rate`` is fixed; each grid value then adds fresh
-    isotropic noise of that variance to the clean masked data before
-    fitting. The recorded sweep value is the resulting ratio
-    S_i = ||a_i||^2 / (sigma2 + sigma2_added).
-    """
-    return _run_lattice(cfg, "snr_via_added_noise", _added_noise_cells)
+# perfbench's entry points, until the next benchmark change calls run_sweep (ROADMAP item 7)
+run_missing_rate_sweep = run_snr_sweep = run_sweep
 
 
 def compare_hypotheses(records, min_m):

@@ -42,7 +42,7 @@ def report(name, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def phase_sweep():
-    return sp.run_missing_rate_sweep(PHASE_CFG)
+    return sp.run_sweep(PHASE_CFG)
 
 
 def test_criterion_1_phase_transition(phase_sweep):
@@ -89,7 +89,7 @@ def _snr_sweep_onset(fixed_m):
         fit=sp.FitOptions(k=1),
         fixed_missing_rate=fixed_m,
     )
-    result = sp.run_snr_sweep(cfg)
+    result = sp.run_sweep(cfg)
     assert not result.failures
     for r in sorted(result, key=lambda r: r.sweep_value):
         if r.r2_mean > 0.1:
@@ -214,7 +214,7 @@ def test_criterion_7_determinism(phase_sweep, tmp_path):
     first = tmp_path / "curve_a.csv"
     second = tmp_path / "curve_b.csv"
     sp.write_curve_csv(phase_sweep, str(first))
-    rerun = sp.run_missing_rate_sweep(PHASE_CFG)
+    rerun = sp.run_sweep(PHASE_CFG)
     sp.write_curve_csv(rerun, str(second))
     ok = first.read_bytes() == second.read_bytes()
     report(

@@ -7,7 +7,7 @@ from spiked_pca import (
     FitOptions,
     read_experiment_config,
     read_masked_csv,
-    run_missing_rate_sweep,
+    run_sweep,
     write_curve_csv,
 )
 from spiked_pca.cli import cli_main
@@ -364,7 +364,7 @@ def test_experiment_reports_unconverged_cells(tmp_path, capsys):
     assert "grid value 0.8: stopped at max_iterations (2)" in err[-1]
     # the flags go to stderr only; the curve CSV is the library's
     expected = tmp_path / "expected.csv"
-    write_curve_csv(run_missing_rate_sweep(read_experiment_config(str(cfg))), str(expected))
+    write_curve_csv(run_sweep(read_experiment_config(str(cfg))), str(expected))
     assert out.read_bytes() == expected.read_bytes()
 
 
@@ -377,6 +377,31 @@ def test_experiment_prints_grid_values_in_the_number_format(tmp_path, capsys):
     assert cli_main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == 0
     err = capsys.readouterr().err.splitlines()
     assert "unconverged cell: repetition 0, grid value 0.05: stopped at max_iterations (2)" in err
+
+
+@pytest.mark.parametrize(
+    "grid,flags,failed_values,error",
+    [
+        # every fit fails, so there is no record to write
+        ("0.999, 1.0", [], ["0.999", "0.999", "1", "1"], "refusing to write an empty record set"),
+        # the surviving m = 0 records lie below --min-m
+        ("0.0, 1.0", ["--compare-hypotheses", "--min-m", "0.5"], ["1", "1"],
+         "no first-component records at or above min_m"),
+    ],
+    ids=["all_fits_fail", "no_records_above_min_m"],
+)
+def test_experiment_names_failed_cells_before_exiting(tmp_path, capsys, grid, flags,
+                                                      failed_values, error):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(EXPERIMENT_CONFIG.replace("grid = 0.0, 0.4, 0.8", f"grid = {grid}")
+                   .replace("n = 60", "n = 20").replace("d = 40", "d = 10"))
+    out = tmp_path / "c.csv"
+    assert cli_main(["experiment", "--config", str(cfg), "--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err.splitlines()
+    failed = [line for line in err if line.startswith("failed cell: repetition ")]
+    assert sorted(line.split("grid value ")[1].split(":")[0] for line in failed) == failed_values
+    assert err[-1] == f"error: {error}"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -483,7 +508,7 @@ def test_generate_draws_what_a_sweep_fits(tmp_path, monkeypatch):
 
     monkeypatch.setattr(spiked_pca.experiment, "component_r2", recording_r2)
     fits = count_fits(monkeypatch)
-    run_missing_rate_sweep(ExperimentConfig(
+    run_sweep(ExperimentConfig(
         sweep_kind="missing_rate", grid=(0.0,), n=30, d=6, norms=(0.5, 1.0),
         noise_variance=0.2, repetitions=1, base_seed=17, fit=FitOptions(k=2),
     ))

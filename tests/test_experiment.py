@@ -8,8 +8,7 @@ from spiked_pca import (
     ExperimentConfig,
     FitOptions,
     compare_hypotheses,
-    run_missing_rate_sweep,
-    run_snr_sweep,
+    run_sweep,
     theory_r2_missing,
 )
 from spiked_pca.experiment import derive_cell_seed
@@ -140,14 +139,6 @@ def test_config_rejects_fixed_missing_rate_on_missing_rate_sweep():
     assert small_config(fixed_missing_rate=0.0).fixed_missing_rate == 0.0
 
 
-def test_sweep_kind_mismatch_rejected():
-    cfg = small_config()
-    with pytest.raises(DomainError):
-        run_snr_sweep(cfg)
-    with pytest.raises(DomainError, match="sweep kind"):
-        run_missing_rate_sweep(small_config(sweep_kind="snr_via_added_noise"))
-
-
 def test_missing_sweep_rejects_rates_outside_unit_interval():
     for grid in [(-0.1, 0.5), (0.5, 1.5)]:
         with pytest.raises(DomainError, match=r"grid value must lie in \[0, 1\]"):
@@ -156,7 +147,7 @@ def test_missing_sweep_rejects_rates_outside_unit_interval():
 
 def test_missing_sweep_record_counts():
     cfg = small_config()
-    result = run_missing_rate_sweep(cfg)
+    result = run_sweep(cfg)
     check_cells(result, cfg)
     assert len(result) == 10  # 5 rates x 2 components
     assert all(r.n_reps == 3 for r in result)
@@ -167,7 +158,7 @@ def test_missing_sweep_record_counts():
 
 def test_missing_sweep_flags_unconverged_cells():
     cfg = small_config(fit=FitOptions(k=2, max_iterations=2))
-    result = run_missing_rate_sweep(cfg)
+    result = run_sweep(cfg)
     check_cells(result, cfg)
     assert not result.failures
     # every fit hits the cap; each is flagged and still averaged in
@@ -179,21 +170,18 @@ def test_missing_sweep_flags_unconverged_cells():
 
 
 @pytest.mark.parametrize(
-    "run,overrides",
+    "overrides",
     [
-        (run_missing_rate_sweep, {}),
-        (
-            run_snr_sweep,
-            dict(sweep_kind="snr_via_added_noise", grid=(0.0, 0.05, 0.2),
-                 fixed_missing_rate=0.3),
-        ),
+        {},
+        dict(sweep_kind="snr_via_added_noise", grid=(0.0, 0.05, 0.2),
+             fixed_missing_rate=0.3),
     ],
     ids=["missing_rate", "snr_via_added_noise"],
 )
-def test_sweep_reproducible(run, overrides):
+def test_sweep_reproducible(overrides):
     cfg = small_config(**overrides)
-    a = run(cfg)
-    b = run(cfg)
+    a = run_sweep(cfg)
+    b = run_sweep(cfg)
     check_cells(a, cfg)
     assert list(a) == list(b)
     assert a.cells == b.cells
@@ -201,7 +189,7 @@ def test_sweep_reproducible(run, overrides):
 
 def test_missing_sweep_theory_attached():
     cfg = small_config()
-    result = run_missing_rate_sweep(cfg)
+    result = run_sweep(cfg)
     alpha = cfg.n / cfg.d
     snrs = {1: 1.0**2 / 0.05, 2: 0.5**2 / 0.05}
     for r in result:
@@ -220,7 +208,7 @@ def test_missing_sweep_m0_cell_matches_theory():
         base_seed=7,
         fit=FitOptions(k=1),
     )
-    (record,) = run_missing_rate_sweep(cfg)
+    (record,) = run_sweep(cfg)
     assert abs(record.r2_mean - record.theory_r2) <= 0.08
 
 
@@ -237,13 +225,13 @@ def test_missing_sweep_null_cell_below_threshold():
         base_seed=8,
         fit=FitOptions(k=1),
     )
-    (record,) = run_missing_rate_sweep(cfg)
+    (record,) = run_sweep(cfg)
     assert record.r2_mean <= 0.05
 
 
 def test_missing_sweep_records_failed_cells():
     cfg = small_config(grid=(0.0, 0.5, 1.0))
-    result = run_missing_rate_sweep(cfg)
+    result = run_sweep(cfg)
     check_cells(result, cfg)
     # the all-missing cell fails every repetition and is reported
     assert len(result.failures) == 3
@@ -266,7 +254,7 @@ def test_snr_sweep_values_and_consistency():
         fit=FitOptions(k=1),
         fixed_missing_rate=0.25,
     )
-    result = run_snr_sweep(cfg)
+    result = run_sweep(cfg)
     assert len(result) == 3
     got = sorted(r.sweep_value for r in result)
     expected = sorted(1.0 / (sigma2 + s2a) for s2a in cfg.grid)
@@ -284,7 +272,7 @@ def test_snr_sweep_values_and_consistency():
         base_seed=17,
         fit=FitOptions(k=1),
     )
-    (mr_record,) = run_missing_rate_sweep(mr)
+    (mr_record,) = run_sweep(mr)
     clean = max(result, key=lambda r: r.sweep_value)
     assert abs(clean.r2_mean - mr_record.r2_mean) <= 0.08
 
@@ -304,7 +292,7 @@ def test_snr_sweep_pairs_components_with_sorted_norms():
         fixed_missing_rate=0.1,
     )
     assert cfg.norms == (0.5, 1.0)  # kept as given; the ground truth sorts them
-    result = run_snr_sweep(cfg)
+    result = run_sweep(cfg)
     comp1 = sorted(r.sweep_value for r in result if r.component == 1)
     comp2 = sorted(r.sweep_value for r in result if r.component == 2)
     assert comp1 == pytest.approx([4.0, 20.0], rel=1e-12)
@@ -366,5 +354,5 @@ def test_compare_hypotheses_restriction():
 
 def test_single_repetition_has_zero_std():
     cfg = small_config(repetitions=1, grid=(0.0,))
-    result = run_missing_rate_sweep(cfg)
+    result = run_sweep(cfg)
     assert all(r.r2_std == 0.0 and r.n_reps == 1 for r in result)
