@@ -37,13 +37,12 @@ def _print_kv(key, value):
 
 
 def _cmd_theory(args):
-    if args.effective_sample:
-        r2 = theory_r2_effective_sample(args.alpha, args.snr, args.missing)
-    else:
-        r2 = theory_r2_missing(args.alpha, args.snr, args.missing)
-    _print_kv("predicted_r2", r2)
-    _print_kv("m_crit", critical_missing_rate(args.alpha, args.snr))
-    _print_kv("alpha_crit", critical_alpha(args.snr, args.missing))
+    # the first call checks all three arguments, so a rejected one prints nothing
+    alpha, snr, m = args.alpha, args.snr, args.missing
+    _print_kv("predicted_r2", theory_r2_missing(alpha, snr, m))
+    _print_kv("predicted_alt_r2", theory_r2_effective_sample(alpha, snr, m))
+    _print_kv("m_crit", critical_missing_rate(alpha, snr))
+    _print_kv("alpha_crit", critical_alpha(snr, m))
     return 0
 
 
@@ -69,13 +68,7 @@ def _cmd_mask(args):
 
 def _cmd_fit(args):
     x = read_masked_csv(args.infile)
-    opts = FitOptions(
-        k=args.k,
-        max_iterations=args.max_iter,
-        rel_tolerance=args.tol,
-        seed=args.seed,
-    )
-    model = fit_ppca(x, opts)
+    model = fit_ppca(x, FitOptions(k=args.k, seed=args.seed))
     write_model_csv(model, args.out)
     _print_kv("sigma2", model.noise_variance)
     _print_kv("log_likelihood", model.log_likelihood)
@@ -96,9 +89,11 @@ def _cmd_snr(args):
 
 def _cmd_experiment(args):
     cfg = read_experiment_config(args.config)
-    check_rate("min_m", args.min_m, closed=False)  # before the sweep, so a bad flag costs no fit
-    if args.compare_hypotheses and args.min_m and cfg.sweep_kind != "missing_rate":
-        raise DomainError("min_m is only for the missing_rate sweep")
+    min_m = args.compare_hypotheses  # None without the flag
+    if min_m is not None:  # checked before the sweep, so a bad value costs no fit
+        check_rate("min_m", min_m, closed=False)
+        if min_m and cfg.sweep_kind != "missing_rate":
+            raise DomainError("min_m is only for the missing_rate sweep")
     result = run_sweep(cfg)
     cap = f"stopped at max_iterations ({cfg.fit.max_iterations})"
     for cell in result.cells:
@@ -110,8 +105,8 @@ def _cmd_experiment(args):
                 file=sys.stderr,
             )
     summary = None
-    if args.compare_hypotheses:
-        rmse_snr, rmse_sample = compare_hypotheses(result, args.min_m)
+    if min_m is not None:
+        rmse_snr, rmse_sample = compare_hypotheses(result, min_m)
         summary = (
             f"rmse_snr_hypothesis={format(rmse_snr, REAL_FORMAT)} "
             f"rmse_sample_hypothesis={format(rmse_sample, REAL_FORMAT)}"
@@ -134,11 +129,6 @@ def _build_parser():
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--snr", type=float, required=True)
     p.add_argument("--missing", type=float, default=0.0)
-    p.add_argument(
-        "--effective-sample",
-        action="store_true",
-        help="predict with the effective-sample-size hypothesis instead",
-    )
     p.set_defaults(func=_cmd_theory)
 
     p = sub.add_parser("generate", help="sample a synthetic spiked dataset")
@@ -162,8 +152,6 @@ def _build_parser():
     p = sub.add_parser("fit", help="fit probabilistic PCA on a masked CSV")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--max-iter", type=int, default=FitOptions.max_iterations)
-    p.add_argument("--tol", type=float, default=FitOptions.rel_tolerance)
     p.add_argument("--seed", type=int, default=FitOptions.seed)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_fit)
@@ -176,8 +164,8 @@ def _build_parser():
     p = sub.add_parser("experiment", help="run a sweep from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--compare-hypotheses", action="store_true")
-    p.add_argument("--min-m", type=float, default=0.0)
+    p.add_argument("--compare-hypotheses", type=float, nargs="?", const=0.0, metavar="MIN_M",
+                   help="score both laws on the records at sweep values >= MIN_M (default 0)")
     p.set_defaults(func=_cmd_experiment)
 
     return parser

@@ -149,7 +149,7 @@ def _parse_grid(text):
 _CONFIG_KEYS = {
     "sweep_kind": str, "grid": _parse_grid, "norms": real_list,
     "n": int, "d": int, "repetitions": int, "base_seed": int, "max_iterations": int,
-    "noise_variance": float, "fixed_missing_rate": float, "rel_tolerance": float,
+    "noise_variance": float, "fixed_missing_rate": float,
 }
 # a key may be omitted when its field has a default; every FitOptions key has one
 _REQUIRED_KEYS = {f.name for f in fields(ExperimentConfig) if f.default is MISSING}

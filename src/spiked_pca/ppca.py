@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DomainError, NumericalError, check_integer, check_positive
 from .masked import center_observed
 
-SIGMA2_FLOOR = 1e-12
+SIGMA2_FLOOR = 1e-12  # the floor of sigma2, as a fraction of the mean observed square
 TOLERANCE_STREAK = 3  # consecutive cycles below rel_tolerance that stop a fit
 # the spectral start: block width k + SPECTRAL_OVERSAMPLE, SPECTRAL_ITERATIONS
 # subspace iterations, and start loading variances floored at
@@ -118,6 +118,10 @@ class _ObservedEm:
         self.total_obs = float(obs_per_row.sum())
         self.yy_col = np.einsum("nd,nd->d", self.Y, self.Y)
         self.sum_yy = float(self.yy_col.sum())
+        # relative, so that a fit does not depend on the data's units
+        self.sigma2_floor = SIGMA2_FLOOR * self.sum_yy / self.total_obs
+        if self.sigma2_floor == 0.0:  # also where the product underflows
+            raise DomainError("the observed entries vary too little about their column means")
 
     def start(self, k, seed):
         """The spectral start and its E-step.
@@ -154,7 +158,7 @@ class _ObservedEm:
                 raise NumericalError("spectral start not finite: the data overflow")
         lam, V = lam[::-1][:k], Q @ U[:, ::-1][:, :k]
         trace = self.sum_yy / (n_eff * p)
-        sigma2 = max((trace - float(lam.sum())) / (self.d - k), SIGMA2_FLOOR)
+        sigma2 = max((trace - float(lam.sum())) / (self.d - k), self.sigma2_floor)
         A = V * np.sqrt(np.maximum(lam - sigma2, SPECTRAL_FLOOR * sigma2))
         return self.estep(A, sigma2, 0)
 
@@ -191,32 +195,33 @@ class _ObservedEm:
         At = (S2inv * S1).sum(axis=1)  # the loadings, k x d
         # pooled noise variance over all observed entries, floored; by the
         # normal equations the expected residual is sum y^2 - sum_d a_d^T S1_d
-        sigma2 = max((self.sum_yy - float((At * S1).sum())) / self.total_obs, SIGMA2_FLOOR)
+        sigma2 = max((self.sum_yy - float((At * S1).sum())) / self.total_obs, self.sigma2_floor)
         return np.ascontiguousarray(At.T), sigma2
 
 
-def _extrapolate(theta0, theta1, theta2):
+def _extrapolate(theta0, theta1, theta2, floor):
     """The SQUAREM point theta0 - 2 alpha r + alpha^2 v over (A, sigma2).
 
     Each theta is a pair (A, sigma2). r = theta1 - theta0 and
     v = theta2 - 2 theta1 + theta0 for two EM steps theta0 -> theta1 ->
     theta2; alpha = min(-|r| / |v|, -1), and alpha = -1 gives theta2
-    itself. Where the step is undefined (v vanishes, or the extrapolated
-    noise variance is not above the floor) it returns theta2 itself, the
-    plain EM point; it never returns None.
+    itself. Where the step is undefined (v vanishes, a square overflows,
+    or the extrapolated noise variance is not above ``floor``) it returns
+    theta2 itself, the plain EM point; it never returns None.
     """
     (a0, s0), (a1, s1), (a2, s2) = theta0, theta1, theta2
     r_a, v_a = a1 - a0, a2 - 2.0 * a1 + a0
     r_s, v_s = s1 - s0, s2 - 2.0 * s1 + s0
-    norm_v = math.sqrt(float((v_a ** 2).sum()) + v_s ** 2)
+    # products, not **: a float's ** raises OverflowError where x * x is inf
+    norm_v = math.sqrt(float((v_a * v_a).sum()) + v_s * v_s)
     if norm_v == 0.0:
         return theta2
-    norm_r = math.sqrt(float((r_a ** 2).sum()) + r_s ** 2)
+    norm_r = math.sqrt(float((r_a * r_a).sum()) + r_s * r_s)
     alpha = min(-norm_r / norm_v, -1.0)
-    sigma2 = s0 - 2.0 * alpha * r_s + alpha ** 2 * v_s
-    if not sigma2 > SIGMA2_FLOOR:
+    sigma2 = s0 - 2.0 * alpha * r_s + alpha * alpha * v_s
+    if not sigma2 > floor:  # also where an overflow made it nan
         return theta2
-    return a0 - 2.0 * alpha * r_a + alpha ** 2 * v_a, sigma2
+    return a0 - 2.0 * alpha * r_a + alpha * alpha * v_a, sigma2
 
 
 def fit_ppca(x, opts):
@@ -268,7 +273,7 @@ def fit_ppca(x, opts):
             theta2 = em.mstep(p1, n_iter)
             n_iter += 1
             try:
-                q = em.estep(*_extrapolate(p0[:2], p1[:2], theta2), n_iter)
+                q = em.estep(*_extrapolate(p0[:2], p1[:2], theta2, em.sigma2_floor), n_iter)
             except NumericalError:
                 q = None  # fall back to the plain EM point
             p = q if q is not None and q.ll >= p1.ll else em.estep(*theta2, n_iter)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import spiked_pca.cli
 import spiked_pca.ppca
 from spiked_pca import (
     ExperimentConfig,
@@ -8,9 +9,12 @@ from spiked_pca import (
     read_experiment_config,
     read_masked_csv,
     run_sweep,
+    theory_r2_effective_sample,
+    theory_r2_missing,
     write_curve_csv,
 )
 from spiked_pca.cli import cli_main
+from spiked_pca.fileio import REAL_FORMAT
 from spiked_pca.ppca import _spd_inverse
 
 
@@ -32,13 +36,23 @@ def test_theory_prints_prediction(capsys):
     assert abs(float(kv["alpha_crit"]) - 0.01) <= 1e-9
 
 
-def test_theory_effective_sample_flag(capsys):
-    code = cli_main(
-        ["theory", "--alpha", "0.6667", "--snr", "20", "--missing", "0.5", "--effective-sample"]
-    )
-    assert code == 0
+@pytest.mark.parametrize(
+    "alpha, snr, r2, alt_r2",
+    [
+        (0.6667, 20.0, "0.856528", "0.863049"),
+        # below the reduced-SNR threshold, above the effective-sample one
+        (0.75, 2.0, "0", "0.142857"),
+    ],
+    ids=["above-both", "between-thresholds"],
+)
+def test_theory_prints_both_laws(capsys, alpha, snr, r2, alt_r2):
+    argv = ["theory", "--alpha", str(alpha), "--snr", str(snr), "--missing", "0.5"]
+    assert cli_main(argv) == 0
     kv = parse_kv(capsys.readouterr().out)
-    assert abs(float(kv["predicted_r2"]) - 0.86305) <= 1e-4
+    assert list(kv) == ["predicted_r2", "predicted_alt_r2", "m_crit", "alpha_crit"]
+    assert (kv["predicted_r2"], kv["predicted_alt_r2"]) == (r2, alt_r2)
+    assert r2 == format(theory_r2_missing(alpha, snr, 0.5), REAL_FORMAT)
+    assert alt_r2 == format(theory_r2_effective_sample(alpha, snr, 0.5), REAL_FORMAT)
 
 
 def test_theory_domain_error_exit_code(capsys):
@@ -90,6 +104,28 @@ def test_theory_extreme_finite_input(capsys, args, r2, alpha_crit):
 def test_usage_error_exit_code(capsys):
     assert cli_main(["theory", "--snr", "20"]) == 1
     assert cli_main(["no-such-command"]) == 1
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (["theory", "--alpha", "0.6667", "--snr", "20"], ["--effective-sample"]),
+        (["fit", "--k", "1", "--out", "model.csv", "--in", "data.csv"], ["--tol", "1e-9"]),
+        (["fit", "--k", "1", "--out", "model.csv", "--in", "data.csv"], ["--max-iter", "5"]),
+    ],
+    ids=["effective-sample", "tol", "max-iter"],
+)
+def test_removed_flag_exits_before_any_fit(tmp_path, monkeypatch, capsys, command, flag):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data.csv").write_text("1.0,2.0,3.0\n4.0,5.0,6.0\n7.0,8.0,10.0\n")
+    fits = []
+    monkeypatch.setattr(spiked_pca.cli, "fit_ppca", lambda x, opts: fits.append(opts))
+    assert cli_main(command + flag) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+    assert fits == []
+    assert not (tmp_path / "model.csv").exists()
 
 
 def test_generate_then_snr(tmp_path, capsys):
@@ -200,6 +236,17 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert code == 2
     # the column sums overflow while the observed mean is taken
     assert "overflow" in capsys.readouterr().err
+
+
+def test_fit_on_huge_finite_entries(tmp_path, capsys):
+    # sigma2 ~ 1e300 here; SQUAREM's squares of its steps overflow
+    p = tmp_path / "huge.csv"
+    rows = np.random.default_rng(4).uniform(-1.0, 1.0, size=(8, 4)) * 1e150
+    p.write_text("".join(",".join(f"{v:.6g}" for v in row) + "\n" for row in rows))
+    code = cli_main(["fit", "--k", "1", "--in", str(p), "--out", str(tmp_path / "model.csv")])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert float(parse_kv(captured.out)["sigma2"]) > 1e290
 
 
 @pytest.mark.parametrize(
@@ -338,7 +385,7 @@ def test_experiment_end_to_end(tmp_path, capsys):
     cfg.write_text(EXPERIMENT_CONFIG)
     out1 = str(tmp_path / "curve1.csv")
     code = cli_main(["experiment", "--config", str(cfg), "--out", out1,
-                     "--compare-hypotheses", "--min-m", "0.0"])
+                     "--compare-hypotheses", "0.0"])
     assert code == 0
     printed = capsys.readouterr().out
     assert "rmse_snr_hypothesis=" in printed and "rmse_sample_hypothesis=" in printed
@@ -347,9 +394,11 @@ def test_experiment_end_to_end(tmp_path, capsys):
     assert lines[-1].startswith("# rmse_snr_hypothesis=")
     assert len(lines) == 1 + 3 + 1  # header, three records, summary
 
+    # the bare flag takes MIN_M = 0
     out2 = str(tmp_path / "curve2.csv")
     assert cli_main(["experiment", "--config", str(cfg), "--out", out2,
-                     "--compare-hypotheses", "--min-m", "0.0"]) == 0
+                     "--compare-hypotheses"]) == 0
+    assert capsys.readouterr().out == printed.replace("curve1", "curve2")
     assert (tmp_path / "curve1.csv").read_bytes() == (tmp_path / "curve2.csv").read_bytes()
 
 
@@ -384,8 +433,8 @@ def test_experiment_prints_grid_values_in_the_number_format(tmp_path, capsys):
     [
         # every fit fails, so there is no record to write
         ("0.999, 1.0", [], ["0.999", "0.999", "1", "1"], "refusing to write an empty record set"),
-        # the surviving m = 0 records lie below --min-m
-        ("0.0, 1.0", ["--compare-hypotheses", "--min-m", "0.5"], ["1", "1"],
+        # the surviving m = 0 records lie below MIN_M
+        ("0.0, 1.0", ["--compare-hypotheses", "0.5"], ["1", "1"],
          "no first-component records at or above min_m"),
     ],
     ids=["all_fits_fail", "no_records_above_min_m"],
@@ -453,7 +502,7 @@ def test_experiment_rejects_min_m_before_any_fit(tmp_path, monkeypatch, capsys):
     cfg.write_text(EXPERIMENT_CONFIG.replace("grid = 0.0, 0.4, 0.8", "grid = 0.0, 0.4"))
     out = tmp_path / "c.csv"
     code = cli_main(["experiment", "--config", str(cfg), "--out", str(out),
-                     "--compare-hypotheses", "--min-m", "1.0"])
+                     "--compare-hypotheses", "1.0"])
     assert code == 1
     assert "min_m must lie in [0, 1), got 1.0" in capsys.readouterr().err
     assert fits == []
@@ -461,14 +510,14 @@ def test_experiment_rejects_min_m_before_any_fit(tmp_path, monkeypatch, capsys):
 
 
 def test_experiment_rejects_min_m_without_compare_hypotheses(tmp_path, monkeypatch, capsys):
-    # --min-m only acts with --compare-hypotheses, but a value outside
-    # [0, 1) is an error either way
+    # min_m is the value of --compare-hypotheses; there is no flag that
+    # sets it alone
     fits = count_fits(monkeypatch)
     cfg = tmp_path / "exp.ini"
     cfg.write_text(EXPERIMENT_CONFIG.replace("grid = 0.0, 0.4, 0.8", "grid = 0.4"))
     out = tmp_path / "c.csv"
     assert cli_main(["experiment", "--config", str(cfg), "--out", str(out), "--min-m", "7"]) == 1
-    assert "min_m must lie in [0, 1), got 7.0" in capsys.readouterr().err
+    assert "unrecognized arguments: --min-m 7" in capsys.readouterr().err
     assert fits == []
     assert not out.exists()
 
@@ -483,11 +532,11 @@ def test_experiment_rejects_min_m_on_snr_sweep(tmp_path, monkeypatch, capsys):
     )
     out = tmp_path / "c.csv"
     argv = ["experiment", "--config", str(cfg), "--out", str(out), "--compare-hypotheses"]
-    assert cli_main(argv + ["--min-m", "0.9"]) == 1
+    assert cli_main(argv + ["0.9"]) == 1
     assert "min_m is only for the missing_rate sweep" in capsys.readouterr().err
     assert fits == []
     assert not out.exists()
-    assert cli_main(argv + ["--min-m", "0"]) == 0
+    assert cli_main(argv + ["0"]) == 0
     assert len(fits) == 2 * 2  # two repetitions x two grid values
     assert "rmse_snr_hypothesis=" in out.read_text()
 

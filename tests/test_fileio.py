@@ -424,14 +424,15 @@ def test_read_experiment_config_errors(tmp_path):
     with pytest.raises(FormatError, match="section"):
         read_experiment_config(str(p))
     # unknown keys, a typo or a key that is no longer read, are errors
-    for line in ("max_iteration = 2", "k = 2", "tolerance_streak = 3"):
+    for line in ("max_iteration = 2", "k = 2", "tolerance_streak = 3", "rel_tolerance = 1e-9"):
         p.write_text(CONFIG_TEXT + line + "\n")
         with pytest.raises(FormatError, match=f"unknown key '{line.split()[0]}'"):
             read_experiment_config(str(p))
 
 
 def test_config_keys_match_the_dataclasses():
-    # k follows from the norms and every cell's fit seed from base_seed
+    # k follows from the norms and every cell's fit seed from base_seed;
+    # rel_tolerance is left to library callers
     config_fields = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"fit"}
-    fit_fields = {f.name for f in dataclasses.fields(FitOptions)} - {"k", "seed"}
+    fit_fields = {f.name for f in dataclasses.fields(FitOptions)} - {"k", "seed", "rel_tolerance"}
     assert set(_CONFIG_KEYS) == config_fields | fit_fields

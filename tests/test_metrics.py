@@ -89,6 +89,8 @@ def test_estimate_snr_validation():
         estimate_snr([3.0, -1.0, 1.0], 1)
     with pytest.raises(DomainError, match="trailing eigenvalues are all zero"):
         estimate_snr([3.0, 0.0, 0.0], 1)
+    with pytest.raises(DomainError, match="1-d vector"):
+        estimate_snr([[3.0, 1.0], [1.0, 1.0]], 1)
     for bad in (np.nan, np.inf):
         with pytest.raises(DomainError, match="finite"):
             estimate_snr([bad, 2.0, 1.0], 1)

@@ -1,11 +1,19 @@
-"""The package's export list names only what the package defines, and
-the package defines every name the benchmark uses."""
+"""The package's export list names only what the package defines, the
+package defines every name the benchmark uses, and README's commands and
+config file parse."""
 
 import ast
+import re
+import shlex
 from pathlib import Path
+
+import pytest
 
 import spiked_pca as sp
 import spiked_pca.cli  # noqa: F401  (makes sp.cli available)
+from spiked_pca.cli import _build_parser
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_star_import_gives_every_exported_name():
@@ -20,7 +28,7 @@ def test_star_import_gives_every_exported_name():
 def perfbench_names():
     """Every ``sp.<name>`` and ``sp.cli.<name>`` that the benchmark's sources use."""
     names = set()
-    for path in sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py")):
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if not isinstance(node, ast.Attribute):
                 continue
@@ -42,3 +50,35 @@ def test_every_name_the_benchmark_uses_exists():
                if not hasattr(sp.cli if name.startswith("cli.") else sp, name.split(".")[-1])]
     assert missing == []
     assert sp.run_missing_rate_sweep is sp.run_snr_sweep is sp.run_sweep
+
+
+def readme_blocks(language):
+    """The bodies of README's fenced code blocks in ``language``."""
+    text = (ROOT / "README.md").read_text()
+    return re.findall(rf"^```{language}\n(.*?)^```$", text, flags=re.M | re.S)
+
+
+def readme_commands():
+    """The arguments of each ``spiked-pca`` line in README's shell blocks."""
+    lines = "\n".join(readme_blocks("sh")).splitlines()
+    return [shlex.split(line, comments=True)[1:]
+            for line in lines if line.startswith("spiked-pca ")]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
+def test_readme_commands_parse(argv):
+    # a flag removed from the CLI cannot stay in README
+    _build_parser().parse_args(argv)
+
+
+def test_readme_config_reads(tmp_path):
+    (block,) = readme_blocks("ini")
+    path = tmp_path / "exp.ini"
+    path.write_text(block)
+    sp.read_experiment_config(str(path))
+    # each optional key, once uncommented, is still a key the reader knows
+    optional = re.findall(r"^# (\w+ = .*)$", block, flags=re.M)
+    assert len(optional) >= 2
+    for line in optional:
+        path.write_text(block + line + "\n")
+        sp.read_experiment_config(str(path))

@@ -8,6 +8,7 @@ from spiked_pca import (
     MaskedMatrix,
     NumericalError,
     apply_mcar_mask,
+    component_r2,
     covariance_eigenvalues,
     extract_directions,
     fit_ppca,
@@ -17,7 +18,7 @@ from spiked_pca import (
 )
 from spiked_pca.masked import center_observed
 from spiked_pca.metrics import r_squared
-from spiked_pca.ppca import _extrapolate, _ObservedEm, _spd_inverse
+from spiked_pca.ppca import SIGMA2_FLOOR, _extrapolate, _ObservedEm, _spd_inverse
 
 
 def spiked(d, n, snr, sigma2=0.1, k=1, seed=0):
@@ -124,10 +125,43 @@ def test_masked_fit_recovers_direction_above_threshold():
 
 
 def test_sigma2_floor_respected():
+    # the floor is relative to the mean observed square of the centered data
     gt = make_ground_truth(10, [1.0], 1e-30, seed=60)
     data = sample_dataset(gt, 50, seed=61)
     model = fit_ppca(MaskedMatrix.complete(data), FitOptions(k=1, seed=1))
-    assert model.noise_variance >= 1e-12
+    floor = SIGMA2_FLOOR * ((data - data.mean(axis=0)) ** 2).mean()
+    assert model.noise_variance == pytest.approx(floor, rel=1e-9, abs=0.0)
+
+
+def probe_fit(c):
+    """The fit of a masked spiked matrix whose entries are scaled by c."""
+    gt = make_ground_truth(60, [1.0, 0.5], 0.05, seed=1)
+    x = apply_mcar_mask(sample_dataset(gt, 400, seed=2), 0.4, seed=3)
+    model = fit_ppca(MaskedMatrix(c * x.values, x.mask), FitOptions(k=2))
+    return gt, model
+
+
+@pytest.mark.parametrize("c", [1e-8, 1e100])
+def test_fit_does_not_depend_on_units(c):
+    # at c = 1e-8 sigma2 is ~5e-18, below an absolute floor of 1e-12; at
+    # c = 1e100 the squares of SQUAREM's sigma2 steps overflow
+    gt, model = probe_fit(1.0)
+    _, scaled = probe_fit(c)
+    r2 = component_r2(extract_directions(model), gt)
+    np.testing.assert_allclose(component_r2(extract_directions(scaled), gt), r2, atol=1e-4)
+    assert scaled.noise_variance / (c * c) == pytest.approx(model.noise_variance, rel=1e-3)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [np.tile([1.0, 2.0, 3.0, 4.0], (6, 1)),
+     1e-160 * np.random.default_rng(0).normal(size=(6, 4))],
+    ids=["constant", "floor-underflows"],
+)
+def test_rejects_data_without_variance(data):
+    # the relative sigma2 floor is 0, so no fit could keep sigma2 positive
+    with pytest.raises(DomainError, match="vary too little about their column means"):
+        fit_ppca(MaskedMatrix.complete(data), FitOptions(k=1))
 
 
 def test_fully_missing_rows_are_skipped_and_counted():
@@ -260,8 +294,8 @@ def test_rejected_extrapolation_keeps_plain_em_point(monkeypatch):
     monkeypatch.setattr(_ObservedEm, "start", random_start)
     x = reference_data(2)
     em, (p0, p1, p2) = em_path(x, 2, seed=1, steps=2, start=random_start)
-    A, sigma2 = _extrapolate(p0[:2], p1[:2], p2[:2])
-    assert sigma2 > 1e-12 and em.estep(A, sigma2, 2).ll < p1.ll
+    A, sigma2 = _extrapolate(p0[:2], p1[:2], p2[:2], em.sigma2_floor)
+    assert sigma2 > em.sigma2_floor and em.estep(A, sigma2, 2).ll < p1.ll
     capped = fit_ppca(x, FitOptions(k=2, seed=1, max_iterations=2))
     assert np.array_equal(capped.loadings, p2.A)
     assert capped.noise_variance == p2.sigma2
@@ -270,14 +304,15 @@ def test_rejected_extrapolation_keeps_plain_em_point(monkeypatch):
     assert (np.diff(h) / np.abs(h[:-1])).min() >= -1e-12
 
 
-@pytest.mark.parametrize("sigma2s", [(0.5, 0.5, 0.5), (1.0, 0.4, 0.1)],
-                         ids=["v_vanishes", "sigma2_below_floor"])
+@pytest.mark.parametrize("sigma2s", [(0.5, 0.5, 0.5), (1.0, 0.4, 0.1), (1e300, 1e200, 1e300)],
+                         ids=["v_vanishes", "sigma2_below_floor", "square_overflows"])
 def test_extrapolate_returns_theta2_where_the_step_is_undefined(sigma2s):
     # with equal loadings, sigma2 falling 1.0 -> 0.4 -> 0.1 gives r = -0.6,
-    # v = 0.3 and alpha = -2: the step lands at 1.0 - 2.4 + 1.2 = -0.2
+    # v = 0.3 and alpha = -2: the step lands at 1.0 - 2.4 + 1.2 = -0.2;
+    # r^2 and v^2 of 1e300 -> 1e200 -> 1e300 overflow to inf
     A = np.arange(6.0).reshape(3, 2)
     theta0, theta1, theta2 = ((A, s) for s in sigma2s)
-    assert _extrapolate(theta0, theta1, theta2) is theta2
+    assert _extrapolate(theta0, theta1, theta2, 1e-12) is theta2
 
 
 def test_failed_extrapolation_estep_keeps_plain_em_point(monkeypatch):
@@ -440,6 +475,14 @@ def test_extract_directions_k1_normalizes():
     a = np.array([[3.0], [4.0]])
     u = extract_directions(a)
     assert np.allclose(np.abs(u[:, 0]), [0.6, 0.8])
+
+
+@pytest.mark.parametrize("loadings, message",
+                         [(np.ones(5), "D x k matrix"), (np.array([[1.0], [np.inf]]), "finite")],
+                         ids=["one-d", "nonfinite"])
+def test_extract_directions_rejects_bad_loadings(loadings, message):
+    with pytest.raises(DomainError, match=message):
+        extract_directions(loadings)
 
 
 def test_extract_directions_rank_deficient_warns():
