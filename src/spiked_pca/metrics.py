@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, check_integer, check_nonnegative
 from .masked import MaskedMatrix, center_observed, complete_values
+from .ppca import SIGMA2_FLOOR
 
 
 @dataclass(frozen=True)
@@ -89,6 +90,7 @@ def top_eigvec_complete(x, k):
     n, d = values.shape
     if n < 2:
         raise DomainError(f"need at least two samples, got {n}")
+    check_integer("k", k, -math.inf)  # type only: the range check below names the bounds
     if not 1 <= k <= min(n, d):
         raise DomainError(f"need 1 <= k <= min(N, D), got k={k}")
     _, _, vt = _centered_svd(values, compute_uv=True)
@@ -99,7 +101,9 @@ def estimate_snr(eigenvalues, k):
     """Estimate the noise floor and leading signal-to-noise ratios.
 
     sigma2_hat is the mean of the trailing D - k eigenvalues and
-    S_i = (lambda_i - sigma2_hat) / sigma2_hat for i <= k. Sorted input
+    S_i = (lambda_i - sigma2_hat) / sigma2_hat for i <= k. A sigma2_hat
+    not above SIGMA2_FLOOR times the mean eigenvalue counts as zero and
+    raises DomainError, as the fitter's noise floor does. Sorted input
     keeps every S_i at or above 0 up to rounding; estimates are floored
     at 0, since a negative ratio has no meaning downstream.
     """
@@ -107,6 +111,7 @@ def estimate_snr(eigenvalues, k):
     if lam.ndim != 1:
         raise DomainError("eigenvalues must be a 1-d vector")
     d = lam.size
+    check_integer("k", k, -math.inf)  # type only: the range check below names the bounds
     if not 1 <= k < d:
         raise DomainError(f"need 1 <= k < D, got k={k}, D={d}")
     if not np.isfinite(lam).all():
@@ -116,8 +121,8 @@ def estimate_snr(eigenvalues, k):
     if np.any(np.diff(lam) > 0):
         raise DomainError("eigenvalues must be sorted in descending order")
     sigma2_hat = float(lam[k:].mean())
-    if sigma2_hat == 0.0:
-        raise DomainError("trailing eigenvalues are all zero")
+    if sigma2_hat <= SIGMA2_FLOOR * lam.mean():
+        raise DomainError("trailing eigenvalues are all zero relative to the mean eigenvalue")
     snr = np.maximum((lam[:k] - sigma2_hat) / sigma2_hat, 0.0)
     return SnrEstimate(sigma2_hat, snr)
 
@@ -132,8 +137,6 @@ def add_isotropic_noise(x, sigma2_added, seed):
     """
     sigma2_added = check_nonnegative("added variance", sigma2_added)
     check_integer("seed", seed, 0)
-    if sigma2_added == 0:
-        return MaskedMatrix(x.values, x.mask)
     rng = np.random.default_rng(seed)
     # built in place, one n x d array: zero noise where unobserved
     noisy = rng.standard_normal(x.values.shape)

@@ -53,7 +53,7 @@ class PpcaModel:
     spectral start and of the point each accelerated cycle accepted, so it
     is nondecreasing; ``log_likelihood`` is its last entry and belongs to
     the returned parameters. ``n_iterations`` counts applications of the
-    EM map (M-steps), two per cycle, so it never exceeds
+    EM map (M-steps), two per cycle, so it is even and never exceeds
     ``max_iterations``. ``n_skipped_rows`` counts samples with no observed
     entries, which carry no information and are ignored by the updates.
     """
@@ -116,8 +116,11 @@ class _ObservedEm:
         obs_per_row = mask.sum(axis=1)
         self.n_skipped = int(np.count_nonzero(obs_per_row == 0))
         self.total_obs = float(obs_per_row.sum())
-        self.yy_col = np.einsum("nd,nd->d", self.Y, self.Y)
-        self.sum_yy = float(self.yy_col.sum())
+        with np.errstate(over="ignore"):
+            self.yy_col = np.einsum("nd,nd->d", self.Y, self.Y)
+            self.sum_yy = float(self.yy_col.sum())
+        if not math.isfinite(self.sum_yy):
+            raise NumericalError("sum of squares not finite: the data overflow")
         # relative, so that a fit does not depend on the data's units
         self.sigma2_floor = SIGMA2_FLOOR * self.sum_yy / self.total_obs
         if self.sigma2_floor == 0.0:  # also where the product underflows
@@ -252,8 +255,8 @@ def fit_ppca(x, opts):
         accepted points are nondecreasing up to numerical slack; the fit
         stops once their relative increase stays below
         ``opts.rel_tolerance`` for ``TOLERANCE_STREAK`` (three) consecutive
-        cycles, or when ``opts.max_iterations`` EM steps are spent (a
-        cycle with one step left takes the plain step).
+        cycles, or when a whole cycle no longer fits in
+        ``opts.max_iterations`` EM steps (a cap of 1 returns the start).
     """
     k = opts.k
     if k >= x.n_cols:
@@ -265,18 +268,16 @@ def fit_ppca(x, opts):
     history = [p.ll]
     n_iter = 0
     streak = 0
-    while n_iter < opts.max_iterations and streak < TOLERANCE_STREAK:
+    while n_iter + 2 <= opts.max_iterations and streak < TOLERANCE_STREAK:
         p0 = p
-        p = p1 = em.estep(*em.mstep(p0, n_iter), n_iter + 1)
-        n_iter += 1
-        if n_iter < opts.max_iterations:
-            theta2 = em.mstep(p1, n_iter)
-            n_iter += 1
-            try:
-                q = em.estep(*_extrapolate(p0[:2], p1[:2], theta2, em.sigma2_floor), n_iter)
-            except NumericalError:
-                q = None  # fall back to the plain EM point
-            p = q if q is not None and q.ll >= p1.ll else em.estep(*theta2, n_iter)
+        p1 = em.estep(*em.mstep(p0, n_iter), n_iter + 1)
+        theta2 = em.mstep(p1, n_iter + 1)
+        n_iter += 2
+        try:
+            q = em.estep(*_extrapolate(p0[:2], p1[:2], theta2, em.sigma2_floor), n_iter)
+        except NumericalError:
+            q = None  # fall back to the plain EM point
+        p = q if q is not None and q.ll >= p1.ll else em.estep(*theta2, n_iter)
         history.append(p.ll)
         rel = (p.ll - p0.ll) / abs(p0.ll)
         streak = streak + 1 if abs(rel) < opts.rel_tolerance else 0

@@ -90,6 +90,18 @@ def test_read_rejects_unparseable_cell(tmp_path):
             read_masked_csv(str(p))
 
 
+def test_read_passes_on_an_unlocated_parse_error(tmp_path, monkeypatch):
+    # a loader error that names no cell is reported with the file's name
+    def loadtxt_fails(*args, **kwargs):
+        raise ValueError("no cell named")
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt_fails)
+    p = tmp_path / "m.csv"
+    p.write_text("1.0,2.0\n")
+    with pytest.raises(FormatError, match=f"^{re.escape(str(p))}: no cell named$"):
+        read_masked_csv(str(p))
+
+
 def test_read_rejects_ragged_rows(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text("1.0,2.0\n3.0\n")

@@ -89,6 +89,12 @@ def test_estimate_snr_validation():
         estimate_snr([3.0, -1.0, 1.0], 1)
     with pytest.raises(DomainError, match="trailing eigenvalues are all zero"):
         estimate_snr([3.0, 0.0, 0.0], 1)
+    # rank one after centering: the trailing eigenvalue is rounding, about 6e-34
+    with pytest.raises(DomainError, match="trailing eigenvalues are all zero"):
+        estimate_snr(covariance_eigenvalues(np.array([[1.0, 2.0], [3.0, 4.0]])), 1)
+    for k in (1.5, True):
+        with pytest.raises(DomainError, match="k must be an integer"):
+            estimate_snr([5.0, 2.0, 1.0, 1.0, 1.0], k)
     with pytest.raises(DomainError, match="1-d vector"):
         estimate_snr([[3.0, 1.0], [1.0, 1.0]], 1)
     for bad in (np.nan, np.inf):
@@ -205,4 +211,7 @@ def test_top_eigvec_complete_rejects_bad_sizes():
         top_eigvec_complete(data[:1], 1)
     for k in (0, 5):
         with pytest.raises(DomainError, match="k="):
+            top_eigvec_complete(data, k)
+    for k in (1.5, True):
+        with pytest.raises(DomainError, match="k must be an integer"):
             top_eigvec_complete(data, k)

@@ -1,6 +1,6 @@
-"""The package's export list names only what the package defines, the
-package defines every name the benchmark uses, and README's commands and
-config file parse."""
+"""The package's export list names only what the package defines, every
+exported name has a caller, the package defines every name the benchmark
+uses, and README's commands and config file parse."""
 
 import ast
 import re
@@ -23,6 +23,15 @@ def test_star_import_gives_every_exported_name():
     namespace.pop("__builtins__")
     assert sorted(namespace) == sorted(set(sp.__all__))
     assert len(sp.__all__) == len(set(sp.__all__))
+
+
+def test_every_exported_name_has_a_caller():
+    # a package-level name needs a caller in the CLI, the benchmark, a demo
+    # or the README tour
+    paths = [ROOT / "src" / "spiked_pca" / "cli.py", ROOT / "README.md",
+             *sorted((ROOT / "perfbench").glob("*.py")), *sorted((ROOT / "demos").glob("*.py"))]
+    text = "\n".join(path.read_text() for path in paths)
+    assert [name for name in sp.__all__ if not re.search(rf"\b{name}\b", text)] == []
 
 
 def perfbench_names():

@@ -152,6 +152,13 @@ def test_fit_does_not_depend_on_units(c):
     assert scaled.noise_variance / (c * c) == pytest.approx(model.noise_variance, rel=1e-3)
 
 
+def test_fit_rejects_overflowing_sum_of_squares():
+    # at c = 1e153 the centered data and their column sums are finite, but
+    # the sum of their squares is not
+    with pytest.raises(NumericalError, match="^sum of squares not finite: the data overflow$"):
+        probe_fit(1e153)
+
+
 @pytest.mark.parametrize(
     "data",
     [np.tile([1.0, 2.0, 3.0, 4.0], (6, 1)),
@@ -398,10 +405,11 @@ def test_capped_fit_reports_unconverged(max_iterations):
     gt, data = spiked(d=40, n=100, snr=10.0, seed=30)
     x = apply_mcar_mask(data, 0.5, seed=5)
     model = fit_ppca(x, FitOptions(k=1, seed=7, max_iterations=max_iterations))
-    assert model.n_iterations <= max_iterations
+    # only whole cycles of two steps run, so a cap of 1 keeps the start
+    assert model.n_iterations == max_iterations - max_iterations % 2
     assert not model.converged
-    # one history entry for the start and one per cycle of at most two steps
-    assert model.loglik_history.size == 1 + (max_iterations + 1) // 2
+    # one history entry for the start and one per cycle
+    assert model.loglik_history.size == 1 + model.n_iterations // 2
     assert model.log_likelihood == model.loglik_history[-1]
 
 
@@ -419,6 +427,37 @@ def test_factorization_failure_raises_numerical_error(monkeypatch, step, call):
     with pytest.raises(NumericalError, match=f"{step} factorization failed at iteration 0"):
         fit_ppca(MaskedMatrix.complete(data), FitOptions(k=1))
     assert calls[-1] == step
+
+
+EIGH = np.linalg.eigh
+
+
+def eigh_raises(a):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def eigh_nan(a):
+    lam, U = EIGH(a)
+    return lam * np.nan, U
+
+
+def logdet_inf(G, step, iteration):
+    G, logdet = _spd_inverse(G, step, iteration)
+    return G, logdet + np.inf
+
+
+@pytest.mark.parametrize(
+    "owner, name, fake, message",
+    [(np.linalg, "eigh", eigh_raises, "spectral start failed: Eigenvalues did not converge"),
+     (np.linalg, "eigh", eigh_nan, "spectral start not finite: the data overflow"),
+     (spiked_pca.ppca, "_spd_inverse", logdet_inf, "log-likelihood non-finite at iteration 0")],
+    ids=["start_eigh_raises", "start_eigh_nan", "loglik_nonfinite"],
+)
+def test_injected_failure_raises_numerical_error(monkeypatch, owner, name, fake, message):
+    gt, data = spiked(d=10, n=40, snr=10.0, seed=95)
+    monkeypatch.setattr(owner, name, fake)
+    with pytest.raises(NumericalError, match=f"^{message}$"):
+        fit_ppca(MaskedMatrix.complete(data), FitOptions(k=1))
 
 
 def spd_stack(k, n, seed):
