@@ -71,8 +71,9 @@ class ExperimentConfig:
 
     Valid once built: the grid is strictly ascending and each value obeys
     its sweep kind's rule (a rate, or a finite nonnegative added variance),
-    the norms and noise variance obey :func:`make_ground_truth`'s, ``d``
-    exceeds the number of norms, ``fixed_missing_rate`` is nonzero
+    the norms and noise variance obey :func:`make_ground_truth`'s, ``n``
+    and ``d`` exceed the number of norms (centered data of ``n`` rows have
+    rank at most ``n - 1``), ``fixed_missing_rate`` is nonzero
     only on the snr_via_added_noise sweep, and ``fit.seed`` is 0.
     """
 
@@ -100,17 +101,16 @@ class ExperimentConfig:
         norms, noise_variance = _check_spikes(self.norms, self.noise_variance)
         object.__setattr__(self, "norms", tuple(norms))
         object.__setattr__(self, "noise_variance", noise_variance)
-        for name, low in (("n", 2), ("d", len(norms) + 1), ("repetitions", 1), ("base_seed", 0)):
+        k = len(norms)
+        for name, low in (("n", k + 1), ("d", k + 1), ("repetitions", 1), ("base_seed", 0)):
             check_integer(name, getattr(self, name), low)
         m = check_rate("fixed_missing_rate", self.fixed_missing_rate)
         if m and self.sweep_kind == "missing_rate":
             raise DomainError("fixed_missing_rate is only for the snr_via_added_noise sweep")
         if self.fit.seed:
             raise DomainError("fit.seed must be 0: each cell's fit seed comes from base_seed")
-        if self.fit.k != len(norms):
-            raise DomainError(
-                f"fit.k ({self.fit.k}) must match the number of components ({len(norms)})"
-            )
+        if self.fit.k != k:
+            raise DomainError(f"fit.k ({self.fit.k}) must match the number of components ({k})")
 
 
 @dataclass(frozen=True)
@@ -213,27 +213,24 @@ def run_sweep(cfg):
     _, cells = SWEEP_KINDS[cfg.sweep_kind]
     alpha = cfg.n / cfg.d
     results = []
-    points = {}  # grid cell -> (sweep values, S, m), the same in every repetition
+    survivors = {}  # grid cell -> ((sweep values, S, m), its surviving R^2 tuples)
     for rep in range(cfg.repetitions):
         gt, data = draw_dataset(cfg.n, cfg.d, cfg.norms, cfg.noise_variance, cfg.base_seed, rep)
         for ci, (x, *point) in enumerate(cells(cfg, gt, data, rep)):
-            value = cfg.grid[ci]
-            points[ci] = point
+            got = survivors.setdefault(ci, (point, []))[1]
             seed = derive_cell_seed(cfg.base_seed, rep, ci, STREAM_FIT)
             try:
                 model = fit_ppca(x, replace(cfg.fit, seed=seed))
                 r2 = tuple(component_r2(extract_directions(model), gt).tolist())
-                cell = CellResult(rep, ci, value, r2, model.converged, "")
+                cell = CellResult(rep, ci, cfg.grid[ci], r2, model.converged, "")
+                got.append(r2)
             except SpikedPcaError as exc:
-                cell = CellResult(rep, ci, value, (), False, str(exc))
+                cell = CellResult(rep, ci, cfg.grid[ci], (), False, str(exc))
             results.append(cell)
 
     records = []
-    for ci, value in enumerate(cfg.grid):
-        got = [c.r2 for c in results if c.cell_index == ci and not c.error]
-        if not got:
-            continue
-        sweep_values, snrs, m = points[ci]
+    for (sweep_values, snrs, m), got in survivors.values():
+        # a cell with no surviving fit folds to no records
         for comp, vals in enumerate(np.array(got).T):
             std = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
             records.append(

@@ -8,7 +8,6 @@ per-column observed means.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -300,7 +299,8 @@ def extract_directions(model):
     The loadings are only identified up to a k x k rotation, so the
     returned columns are the left singular vectors of A ordered by
     descending singular value. Accepts a PpcaModel or a bare loading
-    matrix. Rank-deficient loadings yield fewer columns and a warning.
+    matrix, and returns all k columns or raises DomainError where the
+    loadings are rank deficient.
     """
     A = np.asarray(getattr(model, "loadings", model), dtype=float)
     if A.ndim != 2:
@@ -311,10 +311,5 @@ def extract_directions(model):
     tol = s[0] * max(A.shape) * np.finfo(float).eps if s.size else 0.0
     rank = int(np.count_nonzero(s > tol))
     if rank < A.shape[1]:
-        warnings.warn(
-            f"loadings are rank deficient (rank {rank} < k={A.shape[1]}); "
-            f"returning {rank} direction(s)",
-            RuntimeWarning,
-        )
-        return U[:, :rank]
+        raise DomainError(f"loadings are rank deficient (rank {rank} < k={A.shape[1]})")
     return U

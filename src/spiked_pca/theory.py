@@ -23,10 +23,8 @@ def _r2(alpha, snr):
     x = alpha * snr * snr
     if x < 1.0:
         return 0.0
-    if math.isinf(snr + x):
-        # the same ratio divided through by x, whose terms stay finite
-        return (1.0 - 1.0 / x) / (1.0 + 1.0 / (alpha * snr))
-    return (x - 1.0) / (snr + x)
+    # (x - 1) / (snr + x) divided through by x, whose terms stay finite
+    return (1.0 - 1.0 / x) / (1.0 + 1.0 / (alpha * snr))
 
 
 def theory_r2_complete(alpha, snr):
@@ -83,10 +81,7 @@ def critical_alpha(snr, m):
     """
     snr = check_positive("snr", snr)
     m = check_rate("m", m)
-    try:
-        return 1.0 / ((1.0 - m) * snr) ** 2
-    except OverflowError:
-        return 0.0
-    except ZeroDivisionError:
-        return math.inf
+    r = (1.0 - m) * snr
+    square = r * r
+    return 1.0 / square if square else math.inf
 

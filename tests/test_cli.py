@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -104,6 +109,37 @@ def test_theory_extreme_finite_input(capsys, args, r2, alpha_crit):
 def test_usage_error_exit_code(capsys):
     assert cli_main(["theory", "--snr", "20"]) == 1
     assert cli_main(["no-such-command"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, code, stdout_lines, stderr",
+    [
+        (["theory", "--alpha", "0.6667", "--snr", "20", "--missing", "0.5"], 0, 4, ""),
+        (["theory", "--alpha", "-1", "--snr", "20"], 1, 0,
+         "error: alpha must be positive and finite, got -1.0\n"),
+        (["theory", "--snr", "20"], 1, 0, None),
+        (["fit", "--k", "1", "--in", "huge.csv", "--out", "model.csv"], 2, 0,
+         "error: sum of squares not finite: the data overflow\n"),
+    ],
+    ids=["ok", "domain", "usage", "numerical"],
+)
+def test_entry_point_exit_codes(tmp_path, argv, code, stdout_lines, stderr):
+    # through `python -m spiked_pca.cli`, so entry() and the __main__ guard
+    # turn cli_main's return value into the process's exit status
+    (tmp_path / "huge.csv").write_text(
+        "1e200,-2e200,3e200\n-1e200,1e200,2e200\n2e200,1e200,-3e200\n1e200,3e200,1e200\n"
+    )
+    paths = [str(Path(spiked_pca.cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "spiked_pca.cli", *argv],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code
+    assert len(proc.stdout.splitlines()) == stdout_lines
+    if stderr is None:
+        assert "the following arguments are required: --alpha" in proc.stderr
+    else:
+        assert proc.stderr == stderr
+    assert not (tmp_path / "model.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -470,6 +506,18 @@ def test_experiment_rejects_fixed_missing_rate_on_missing_rate_sweep(tmp_path, c
     cfg.write_text(EXPERIMENT_CONFIG + "fixed_missing_rate = 0.9\n")
     assert cli_main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == 1
     assert "fixed_missing_rate is only for" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_experiment_rejects_n_that_cannot_hold_its_components(tmp_path, monkeypatch, capsys):
+    # two rows center to rank one, so no fit could find two components
+    fits = count_fits(monkeypatch)
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(EXPERIMENT_CONFIG.replace("n = 60", "n = 2").replace("d = 40", "d = 5")
+                   .replace("norms = 1.0", "norms = 1.0, 0.5"))
+    assert cli_main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == 1
+    assert capsys.readouterr().err.endswith("n must be >= 3, got 2\n")
+    assert fits == []
     assert not (tmp_path / "c.csv").exists()
 
 

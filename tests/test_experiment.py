@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from spiked_pca import (
     run_sweep,
     theory_r2_missing,
 )
+from spiked_pca import experiment
 from spiked_pca.experiment import derive_cell_seed
 
 
@@ -115,6 +118,15 @@ def test_config_rejects_d_that_cannot_hold_its_components():
     with pytest.raises(DomainError, match="d must be >= 3, got 2"):
         small_config(d=2)
     assert small_config(d=3).d == 3
+    # centered data of n rows have rank at most n - 1, so two components
+    # need n > 2; otherwise every fit would run EM and then fail
+    with pytest.raises(DomainError, match="n must be >= 3, got 2"):
+        small_config(n=2)
+    assert small_config(n=3).n == 3
+    one = dict(norms=(1.0,), fit=FitOptions(k=1, max_iterations=300))
+    with pytest.raises(DomainError, match="n must be >= 2, got 1"):
+        small_config(n=1, **one)
+    assert small_config(n=2, **one).n == 2
 
 
 def test_config_rejects_repeated_grid_value():
@@ -238,6 +250,26 @@ def test_missing_sweep_records_failed_cells():
     assert all(f.sweep_value == 1.0 for f in result.failures)
     values = {r.sweep_value for r in result}
     assert values == {0.0, 0.5}
+
+
+def test_sweep_records_rank_deficient_fits_as_failed(monkeypatch):
+    # a fit whose loadings lose rank fails its cell with a message naming
+    # the rank; nothing warns, so the sweep survives filterwarnings = error
+    real_fit = experiment.fit_ppca
+
+    def rank_one_fit(x, opts):
+        model = real_fit(x, opts)
+        a = model.loadings.copy()
+        a[:, 1] = a[:, 0]
+        return replace(model, loadings=a)
+
+    monkeypatch.setattr(experiment, "fit_ppca", rank_one_fit)
+    cfg = small_config(grid=(0.0, 0.4), repetitions=2)
+    result = run_sweep(cfg)
+    check_cells(result, cfg)
+    assert len(result) == 0
+    assert len(result.failures) == len(result.cells) == 4
+    assert all(f.error == "loadings are rank deficient (rank 1 < k=2)" for f in result.failures)
 
 
 def test_snr_sweep_values_and_consistency():

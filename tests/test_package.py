@@ -1,8 +1,10 @@
 """The package's export list names only what the package defines, every
 exported name has a caller, the package defines every name the benchmark
-uses, and README's commands and config file parse."""
+uses, README's commands and config file parse, and its python tour names
+what exists and shows the values the library returns."""
 
 import ast
+import dataclasses
 import re
 import shlex
 from pathlib import Path
@@ -12,6 +14,7 @@ import pytest
 import spiked_pca as sp
 import spiked_pca.cli  # noqa: F401  (makes sp.cli available)
 from spiked_pca.cli import _build_parser
+from spiked_pca.experiment import SweepResult
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -91,3 +94,20 @@ def test_readme_config_reads(tmp_path):
     for line in optional:
         path.write_text(block + line + "\n")
         sp.read_experiment_config(str(path))
+
+
+def test_readme_tour_names_exist_and_values_hold():
+    (block,) = readme_blocks("python")
+    used = {"sp": set(), "result": set()}
+    for node in ast.walk(ast.parse(block)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            used.get(node.value.id, set()).add(node.attr)
+    assert [name for name in sorted(used["sp"]) if not hasattr(sp, name)] == []
+    fields = {f.name for f in dataclasses.fields(SweepResult)}
+    unknown = [a for a in sorted(used["result"]) if a not in fields and not hasattr(SweepResult, a)]
+    assert used["result"] and unknown == []
+    # each `call   # 0.123...` line: the call returns a value with those leading digits
+    shown = re.findall(r"^(sp\.\w+\(.*\))\s+# (\d\.\d+)\.\.\.$", block, flags=re.M)
+    assert len(shown) == 2
+    for call, digits in shown:
+        assert repr(eval(call, {"sp": sp})).startswith(digits), call

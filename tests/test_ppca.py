@@ -524,12 +524,14 @@ def test_extract_directions_rejects_bad_loadings(loadings, message):
         extract_directions(loadings)
 
 
-def test_extract_directions_rank_deficient_warns():
+def test_extract_directions_rank_deficient_raises():
+    # k columns or none: fewer would pair wrongly with the k true directions
     a = np.zeros((6, 2))
     a[:, 0] = np.arange(6.0)
-    with pytest.warns(RuntimeWarning):
-        u = extract_directions(a)
-    assert u.shape == (6, 1)
+    with pytest.raises(DomainError, match=r"^loadings are rank deficient \(rank 1 < k=2\)$"):
+        extract_directions(a)
+    with pytest.raises(DomainError, match=r"rank 0 < k=2"):
+        extract_directions(np.zeros((6, 2)))
 
 
 def test_top_eigvec_rank_one_rows():
