@@ -1,13 +1,14 @@
 """Sweep protocols: run many masked fits over a grid and aggregate.
 
-Two protocols are provided, and :func:`run_sweep` runs the one a config
-names. The missing-rate sweep draws a fresh dataset per repetition and
-re-masks it for every grid value. The signal-to-noise sweep draws a
-low-noise dataset per repetition, fixes one mask, and then adds
-increasing isotropic noise to the clean masked data.
-Every cell of the (grid x repetition) lattice gets its own seed derived
-from the base seed, so results are reproducible and independent of
-execution order.
+:func:`run_sweep` runs the sweep kind a config names. A kind is a cell
+rule that turns a grid value into a missing rate m, an added noise
+variance or none, and the per-component signal-to-noise ratio S: the
+missing-rate sweep masks at the grid's rate and adds no noise, the
+signal-to-noise sweep masks at one fixed rate and adds noise of the
+grid's variance. Each repetition draws a fresh dataset; a cell keeps the
+previous cell's mask where its rate is the same, else draws a new one.
+Every cell of the (grid x repetition) lattice derives its own seeds from
+the base seed, so results are reproducible and independent of order.
 """
 
 import math
@@ -130,9 +131,11 @@ class CurveRecord:
 class CellResult:
     """One (repetition, grid cell) fit: its per-component R^2 or its error.
 
-    ``r2`` is empty and ``error`` nonempty exactly when the fit raised. A
-    fit with ``converged`` False stopped at ``max_iterations``; its R^2
-    still enters the cell's aggregate.
+    ``sweep_value`` is the config's grid value (the added noise variance on
+    an SNR sweep), unlike a CurveRecord's, which is the resulting S there;
+    the CLI prints it as ``grid value``. ``r2`` is empty and ``error``
+    nonempty exactly when the fit raised. A fit with ``converged`` False
+    stopped at ``max_iterations``; its R^2 still enters the cell's aggregate.
     """
 
     repetition: int
@@ -166,32 +169,23 @@ class SweepResult:
         return tuple(c for c in self.cells if not (c.error or c.converged))
 
 
-def _missing_rate_cells(cfg, gt, data, rep):
-    """Measure alignment against the missing rate: re-mask the
-    repetition's dataset at every rate of the grid, each cell with its
-    own mask seed."""
-    for ci, m in enumerate(cfg.grid):
-        seed = derive_cell_seed(cfg.base_seed, rep, ci, STREAM_MASK)
-        yield apply_mcar_mask(data, m, seed), [m] * len(cfg.norms), gt.snr_per_component, m
+def _missing_rate_cell(cfg, gt, m):
+    """Mask at the grid's rate and keep the dataset's own noise."""
+    return m, None, gt.snr_per_component, [m] * len(cfg.norms)
 
 
-def _added_noise_cells(cfg, gt, data, rep):
-    """Measure alignment against the signal-to-noise ratio: mask the
-    repetition's dataset once at ``cfg.fixed_missing_rate``, then add
-    fresh isotropic noise of each grid variance to the clean masked data.
-    The recorded sweep value is S_i = ||a_i||^2 / (sigma2 + sigma2_added)."""
-    m = cfg.fixed_missing_rate
-    masked = apply_mcar_mask(data, m, derive_cell_seed(cfg.base_seed, rep, 0, STREAM_MASK))
-    for ci, sigma2_added in enumerate(cfg.grid):
-        seed = derive_cell_seed(cfg.base_seed, rep, ci, STREAM_NOISE)
-        snrs = gt.snr_per_component * gt.noise_variance / (gt.noise_variance + sigma2_added)
-        yield add_isotropic_noise(masked, sigma2_added, seed), snrs, snrs, m
+def _added_noise_cell(cfg, gt, sigma2_added):
+    """Mask at ``cfg.fixed_missing_rate`` and add noise of the grid's variance;
+    the recorded sweep value is S_i = ||a_i||^2 / (sigma2 + sigma2_added)."""
+    snrs = gt.snr_per_component * gt.noise_variance / (gt.noise_variance + sigma2_added)
+    return cfg.fixed_missing_rate, sigma2_added, snrs, snrs
 
 
-# each sweep kind: the rule its grid values obey, and its cell generator
+# each sweep kind: the rule its grid values obey, and its cell rule: (cfg, gt,
+# grid value) -> (m, added noise variance or None, S, recorded sweep values)
 SWEEP_KINDS = {
-    "missing_rate": (check_rate, _missing_rate_cells),
-    "snr_via_added_noise": (check_nonnegative, _added_noise_cells),
+    "missing_rate": (check_rate, _missing_rate_cell),
+    "snr_via_added_noise": (check_nonnegative, _added_noise_cell),
 }
 
 
@@ -199,38 +193,44 @@ def run_sweep(cfg):
     """Fit every (repetition, grid cell) of the sweep kind ``cfg.sweep_kind``
     names and fold the alignments into records.
 
-    All repetitions share one ground truth; each repetition draws a fresh
-    dataset, which the kind's cell generator turns, per grid cell in
-    order, into the matrix to fit, the recorded sweep values, the
-    per-component signal-to-noise vector S and the missing rate m, from
-    which both theory columns follow. Every cell gets its own fit seed.
+    Every repetition shares the ground truth, and so the points the kind's
+    cell rule gives. In grid order, a cell keeps the previous cell's mask
+    where its rate m is the same, else draws one seeded (repetition, cell,
+    STREAM_MASK), so one mask is live at a time; it adds noise seeded
+    (repetition, cell, STREAM_NOISE) only where its rule gives a variance.
     Every fit becomes one CellResult; a fit that raises keeps its message
     and no R^2, and is not retried, so the aggregates stay unbiased. Each
-    grid cell with at least one surviving fit is summarized by the sample
-    mean and, for two or more surviving repetitions, the sample standard
-    deviation.
+    grid cell with a surviving fit is summarized by the sample mean and,
+    for two or more, the sample standard deviation; both theory columns
+    follow from its m and S.
     """
-    _, cells = SWEEP_KINDS[cfg.sweep_kind]
+    _, rule = SWEEP_KINDS[cfg.sweep_kind]
     alpha = cfg.n / cfg.d
     results = []
-    survivors = {}  # grid cell -> ((sweep values, S, m), its surviving R^2 tuples)
     for rep in range(cfg.repetitions):
         gt, data = draw_dataset(cfg.n, cfg.d, cfg.norms, cfg.noise_variance, cfg.base_seed, rep)
-        for ci, (x, *point) in enumerate(cells(cfg, gt, data, rep)):
-            got = survivors.setdefault(ci, (point, []))[1]
+        points = [rule(cfg, gt, g) for g in cfg.grid]
+        rate = None
+        for ci, (m, sigma2_added, _, _) in enumerate(points):
+            if m != rate:
+                seed = derive_cell_seed(cfg.base_seed, rep, ci, STREAM_MASK)
+                masked, rate = apply_mcar_mask(data, m, seed), m
+            x = masked
+            if sigma2_added is not None:
+                seed = derive_cell_seed(cfg.base_seed, rep, ci, STREAM_NOISE)
+                x = add_isotropic_noise(masked, sigma2_added, seed)
             seed = derive_cell_seed(cfg.base_seed, rep, ci, STREAM_FIT)
             try:
                 model = fit_ppca(x, replace(cfg.fit, seed=seed))
                 r2 = tuple(component_r2(extract_directions(model), gt).tolist())
-                cell = CellResult(rep, ci, cfg.grid[ci], r2, model.converged, "")
-                got.append(r2)
+                results.append(CellResult(rep, ci, cfg.grid[ci], r2, model.converged, ""))
             except SpikedPcaError as exc:
-                cell = CellResult(rep, ci, cfg.grid[ci], (), False, str(exc))
-            results.append(cell)
+                results.append(CellResult(rep, ci, cfg.grid[ci], (), False, str(exc)))
 
     records = []
-    for (sweep_values, snrs, m), got in survivors.values():
-        # a cell with no surviving fit folds to no records
+    for ci, (m, _, snrs, sweep_values) in enumerate(points):
+        # a cell's fits, every len(grid)-th; none surviving folds to no records
+        got = [c.r2 for c in results[ci :: len(cfg.grid)] if not c.error]
         for comp, vals in enumerate(np.array(got).T):
             std = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
             records.append(

@@ -245,7 +245,9 @@ def fit_ppca(x, opts):
         least one observed entry; fully missing rows are allowed and
         skipped.
     opts : FitOptions
-        Number of components, stopping rule and the start's seed.
+        Number of components, stopping rule and the start's seed. ``k``
+        must be below D and below the number of rows that observe any
+        entry.
 
     Returns
     -------
@@ -263,6 +265,9 @@ def fit_ppca(x, opts):
 
     centered, mean = center_observed(x)  # rejects fully missing columns
     em = _ObservedEm(centered)
+    rows = em.n - em.n_skipped  # centered, they span at most rows - 1 dimensions
+    if k >= rows:
+        raise DomainError(f"need k < the rows observing any entry, got k={k}, rows={rows}")
     p = em.start(k, opts.seed)
     history = [p.ll]
     n_iter = 0

@@ -226,6 +226,18 @@ def test_fully_masked_fit_fails_cleanly(tmp_path, capsys):
     assert "column" in capsys.readouterr().err
 
 
+def test_fit_rejects_k_not_below_the_rows(tmp_path, capsys):
+    # two rows are rank one once centered, so they hold one component, not two
+    p = tmp_path / "two_rows.csv"
+    p.write_text("1,2,3,4,5\n2,4,6,8,11\n")
+    out = str(tmp_path / "model.csv")
+    assert cli_main(["fit", "--k", "2", "--in", str(p), "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        "error: need k < the rows observing any entry, got k=2, rows=2\n")
+    assert not os.path.exists(out)
+    assert cli_main(["fit", "--k", "1", "--in", str(p), "--out", out]) == 0
+
+
 def test_non_text_matrix_csv_is_a_format_error(tmp_path, capsys):
     p = tmp_path / "binary.csv"
     p.write_bytes(b"1.0,2.0\n\xff\xfe,3.0\n")

@@ -9,12 +9,14 @@ from spiked_pca import (
     DomainError,
     ExperimentConfig,
     FitOptions,
+    apply_mcar_mask,
     compare_hypotheses,
     run_sweep,
     theory_r2_missing,
 )
 from spiked_pca import experiment
 from spiked_pca.experiment import derive_cell_seed
+from spiked_pca.metrics import add_isotropic_noise
 
 
 def small_config(**overrides):
@@ -270,6 +272,59 @@ def test_sweep_records_rank_deficient_fits_as_failed(monkeypatch):
     assert len(result) == 0
     assert len(result.failures) == len(result.cells) == 4
     assert all(f.error == "loadings are rank deficient (rank 1 < k=2)" for f in result.failures)
+
+
+@pytest.mark.parametrize(
+    "overrides, mask_calls, noise_calls",
+    [
+        ({}, 3 * 5, 0),
+        (dict(sweep_kind="snr_via_added_noise", grid=(0.0, 0.05, 0.2),
+              fixed_missing_rate=0.3), 3, 3 * 3),
+    ],
+    ids=["missing_rate", "snr_via_added_noise"],
+)
+def test_sweep_cell_seeds(monkeypatch, overrides, mask_calls, noise_calls):
+    # the seed contract: a missing-rate cell fits the repetition's dataset
+    # masked with seed (rep, ci, STREAM_MASK) and no noise; an SNR cell fits
+    # the repetition's one mask, seeded (rep, 0, STREAM_MASK), plus noise
+    # seeded (rep, ci, STREAM_NOISE)
+    cfg = small_config(**overrides)
+    fitted, calls = [], {"mask": 0, "noise": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    def capturing_fit(x, opts):
+        fitted.append(x)
+        return real_fit(x, opts)
+
+    real_fit = experiment.fit_ppca
+    monkeypatch.setattr(experiment, "fit_ppca", capturing_fit)
+    monkeypatch.setattr(experiment, "apply_mcar_mask", counted("mask", apply_mcar_mask))
+    monkeypatch.setattr(experiment, "add_isotropic_noise", counted("noise", add_isotropic_noise))
+    check_cells(run_sweep(cfg), cfg)
+    assert calls == {"mask": mask_calls, "noise": noise_calls}
+
+    expected = []
+    for rep in range(cfg.repetitions):
+        _, data = experiment.draw_dataset(
+            cfg.n, cfg.d, cfg.norms, cfg.noise_variance, cfg.base_seed, rep)
+        for ci, g in enumerate(cfg.grid):
+            if cfg.sweep_kind == "missing_rate":
+                seed = derive_cell_seed(cfg.base_seed, rep, ci, experiment.STREAM_MASK)
+                expected.append(apply_mcar_mask(data, g, seed))
+            else:
+                seed = derive_cell_seed(cfg.base_seed, rep, 0, experiment.STREAM_MASK)
+                masked = apply_mcar_mask(data, cfg.fixed_missing_rate, seed)
+                seed = derive_cell_seed(cfg.base_seed, rep, ci, experiment.STREAM_NOISE)
+                expected.append(add_isotropic_noise(masked, g, seed))
+    assert len(fitted) == len(expected)
+    for got, want in zip(fitted, expected):
+        assert np.array_equal(got.mask, want.mask)
+        assert np.array_equal(got.values, want.values)
 
 
 def test_snr_sweep_values_and_consistency():

@@ -14,7 +14,7 @@ import pytest
 import spiked_pca as sp
 import spiked_pca.cli  # noqa: F401  (makes sp.cli available)
 from spiked_pca.cli import _build_parser
-from spiked_pca.experiment import SweepResult
+from spiked_pca.experiment import SWEEP_KINDS, SweepResult
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -88,6 +88,9 @@ def test_readme_config_reads(tmp_path):
     path = tmp_path / "exp.ini"
     path.write_text(block)
     sp.read_experiment_config(str(path))
+    # the sweep_kind line names every kind, so a kind cannot be added unseen
+    (kinds,) = re.findall(r"^sweep_kind = (.*)$", block, flags=re.M)
+    assert set(SWEEP_KINDS) <= set(re.findall(r"\w+", kinds))
     # each optional key, once uncommented, is still a key the reader knows
     optional = re.findall(r"^# (\w+ = .*)$", block, flags=re.M)
     assert len(optional) >= 2

@@ -58,8 +58,17 @@ def test_rejects_fully_missing_column():
 
 def test_rejects_k_not_below_d():
     data = np.random.default_rng(0).normal(size=(20, 4))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^need k < D, got k=4, D=4$"):
         fit_ppca(MaskedMatrix.complete(data), FitOptions(k=4))
+    # nor below the rows that observe anything: two rows, centered, span
+    # one dimension, and a fully missing third row adds none
+    rows = np.array([[1.0, 2, 3, 4, 5], [2, 4, 6, 8, 11], [0, 0, 0, 0, 0]])
+    observed = np.array([[True] * 5, [True] * 5, [False] * 5])
+    for x in (MaskedMatrix.complete(rows[:2]), MaskedMatrix(rows, observed)):
+        with pytest.raises(DomainError, match="^need k < the rows observing any entry, "
+                                              "got k=2, rows=2$"):
+            fit_ppca(x, FitOptions(k=2))
+        assert fit_ppca(x, FitOptions(k=1)).loadings.shape == (5, 1)
 
 
 def test_fit_options_validation():
