@@ -115,9 +115,8 @@ class _ObservedEm:
         obs_per_row = mask.sum(axis=1)
         self.n_skipped = int(np.count_nonzero(obs_per_row == 0))
         self.total_obs = float(obs_per_row.sum())
-        with np.errstate(over="ignore"):
-            self.yy_col = np.einsum("nd,nd->d", self.Y, self.Y)
-            self.sum_yy = float(self.yy_col.sum())
+        self.yy_col = np.einsum("nd,nd->d", self.Y, self.Y)
+        self.sum_yy = float(self.yy_col.sum())
         if not math.isfinite(self.sum_yy):
             raise NumericalError("sum of squares not finite: the data overflow")
         # relative, so that a fit does not depend on the data's units
@@ -144,20 +143,19 @@ class _ObservedEm:
         p = self.total_obs / (n_eff * self.d)
         scale = 1.0 / (n_eff * p * p)
         Q = np.random.default_rng(seed).standard_normal((self.d, k + SPECTRAL_OVERSAMPLE))
-        with np.errstate(over="ignore", invalid="ignore"):
-            shrink = ((1.0 - p) * self.yy_col)[:, None]
+        shrink = ((1.0 - p) * self.yy_col)[:, None]
 
-            def cov_times(Q):
-                return (self.Y.T @ (self.Y @ Q) - shrink * Q) * scale
+        def cov_times(Q):
+            return (self.Y.T @ (self.Y @ Q) - shrink * Q) * scale
 
-            try:
-                for _ in range(SPECTRAL_ITERATIONS):
-                    Q = np.linalg.qr(cov_times(Q))[0]
-                lam, U = np.linalg.eigh(Q.T @ cov_times(Q))  # Rayleigh-Ritz
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(f"spectral start failed: {exc}") from exc
-            if not (np.isfinite(lam).all() and np.isfinite(U).all()):
-                raise NumericalError("spectral start not finite: the data overflow")
+        try:
+            for _ in range(SPECTRAL_ITERATIONS):
+                Q = np.linalg.qr(cov_times(Q))[0]
+            lam, U = np.linalg.eigh(Q.T @ cov_times(Q))  # Rayleigh-Ritz
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"spectral start failed: {exc}") from exc
+        if not (np.isfinite(lam).all() and np.isfinite(U).all()):
+            raise NumericalError("spectral start not finite: the data overflow")
         lam, V = lam[::-1][:k], Q @ U[:, ::-1][:, :k]
         trace = self.sum_yy / (n_eff * p)
         sigma2 = max((trace - float(lam.sum())) / (self.d - k), self.sigma2_floor)
@@ -206,20 +204,19 @@ def _extrapolate(theta0, theta1, theta2, floor):
 
     Each theta is a pair (A, sigma2). r = theta1 - theta0 and
     v = theta2 - 2 theta1 + theta0 for two EM steps theta0 -> theta1 ->
-    theta2; alpha = min(-|r| / |v|, -1), and alpha = -1 gives theta2
-    itself. Where the step is undefined (v vanishes, a square overflows,
-    or the extrapolated noise variance is not above ``floor``) it returns
-    theta2 itself, the plain EM point; it never returns None.
+    theta2; alpha = min(-|r_A| / |v_A|, -1), with norms over the loadings
+    alone so that it does not move with the data's units, and alpha = -1
+    gives theta2 itself. Where the step is undefined (v_A vanishes, a
+    square overflows, or the extrapolated noise variance is not above
+    ``floor``) it returns theta2, the plain EM point, never None.
     """
     (a0, s0), (a1, s1), (a2, s2) = theta0, theta1, theta2
     r_a, v_a = a1 - a0, a2 - 2.0 * a1 + a0
-    r_s, v_s = s1 - s0, s2 - 2.0 * s1 + s0
-    # products, not **: a float's ** raises OverflowError where x * x is inf
-    norm_v = math.sqrt(float((v_a * v_a).sum()) + v_s * v_s)
+    norm_v = math.sqrt(float((v_a * v_a).sum()))
     if norm_v == 0.0:
         return theta2
-    norm_r = math.sqrt(float((r_a * r_a).sum()) + r_s * r_s)
-    alpha = min(-norm_r / norm_v, -1.0)
+    alpha = min(-math.sqrt(float((r_a * r_a).sum())) / norm_v, -1.0)
+    r_s, v_s = s1 - s0, s2 - 2.0 * s1 + s0
     sigma2 = s0 - 2.0 * alpha * r_s + alpha * alpha * v_s
     if not sigma2 > floor:  # also where an overflow made it nan
         return theta2
@@ -264,27 +261,30 @@ def fit_ppca(x, opts):
         raise DomainError(f"need k < D, got k={k}, D={x.n_cols}")
 
     centered, mean = center_observed(x)  # rejects fully missing columns
-    em = _ObservedEm(centered)
-    rows = em.n - em.n_skipped  # centered, they span at most rows - 1 dimensions
-    if k >= rows:
-        raise DomainError(f"need k < the rows observing any entry, got k={k}, rows={rows}")
-    p = em.start(k, opts.seed)
-    history = [p.ll]
-    n_iter = 0
-    streak = 0
-    while n_iter + 2 <= opts.max_iterations and streak < TOLERANCE_STREAK:
-        p0 = p
-        p1 = em.estep(*em.mstep(p0, n_iter), n_iter + 1)
-        theta2 = em.mstep(p1, n_iter + 1)
-        n_iter += 2
-        try:
-            q = em.estep(*_extrapolate(p0[:2], p1[:2], theta2, em.sigma2_floor), n_iter)
-        except NumericalError:
-            q = None  # fall back to the plain EM point
-        p = q if q is not None and q.ll >= p1.ll else em.estep(*theta2, n_iter)
-        history.append(p.ll)
-        rel = (p.ll - p0.ll) / abs(p0.ll)
-        streak = streak + 1 if abs(rel) < opts.rel_tolerance else 0
+    # the one numerical boundary: an overflow or NaN shows up only as a value
+    # that the checks of sum y^2, the start, the pivots and ll reject
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        em = _ObservedEm(centered)
+        rows = em.n - em.n_skipped  # centered, they span at most rows - 1 dimensions
+        if k >= rows:
+            raise DomainError(f"need k < the rows observing any entry, got k={k}, rows={rows}")
+        p = em.start(k, opts.seed)
+        history = [p.ll]
+        n_iter = 0
+        streak = 0
+        while n_iter + 2 <= opts.max_iterations and streak < TOLERANCE_STREAK:
+            p0 = p
+            p1 = em.estep(*em.mstep(p0, n_iter), n_iter + 1)
+            theta2 = em.mstep(p1, n_iter + 1)
+            n_iter += 2
+            try:
+                q = em.estep(*_extrapolate(p0[:2], p1[:2], theta2, em.sigma2_floor), n_iter)
+            except NumericalError:
+                q = None  # fall back to the plain EM point
+            p = q if q is not None and q.ll >= p1.ll else em.estep(*theta2, n_iter)
+            history.append(p.ll)
+            rel = (p.ll - p0.ll) / abs(p0.ll)
+            streak = streak + 1 if abs(rel) < opts.rel_tolerance else 0
 
     return PpcaModel(
         mean=mean,

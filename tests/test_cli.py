@@ -120,14 +120,22 @@ def test_usage_error_exit_code(capsys):
         (["theory", "--snr", "20"], 1, 0, None),
         (["fit", "--k", "1", "--in", "huge.csv", "--out", "model.csv"], 2, 0,
          "error: sum of squares not finite: the data overflow\n"),
+        # the squares of entries near 1e-155 are subnormal, and so the
+        # reciprocals of the E-step's pivots overflow: an error, not a warning
+        (["fit", "--k", "1", "--in", "tiny.csv", "--out", "model.csv"], 2, 0,
+         "error: log-likelihood non-finite at iteration 0\n"),
     ],
-    ids=["ok", "domain", "usage", "numerical"],
+    ids=["ok", "domain", "usage", "numerical", "numerical-tiny"],
 )
 def test_entry_point_exit_codes(tmp_path, argv, code, stdout_lines, stderr):
     # through `python -m spiked_pca.cli`, so entry() and the __main__ guard
     # turn cli_main's return value into the process's exit status
     (tmp_path / "huge.csv").write_text(
         "1e200,-2e200,3e200\n-1e200,1e200,2e200\n2e200,1e200,-3e200\n1e200,3e200,1e200\n"
+    )
+    (tmp_path / "tiny.csv").write_text(
+        "1e-155,2e-155,3e-155\n2e-155,1e-155,5e-155\n3e-155,4e-155,1e-155\n"
+        "4e-155,3e-155,2e-155\n5e-155,1e-155,4e-155\n"
     )
     paths = [str(Path(spiked_pca.cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))

@@ -7,6 +7,7 @@ from spiked_pca import (
     FitOptions,
     MaskedMatrix,
     NumericalError,
+    SpikedPcaError,
     apply_mcar_mask,
     component_r2,
     covariance_eigenvalues,
@@ -153,12 +154,28 @@ def probe_fit(c):
 @pytest.mark.parametrize("c", [1e-8, 1e100])
 def test_fit_does_not_depend_on_units(c):
     # at c = 1e-8 sigma2 is ~5e-18, below an absolute floor of 1e-12; at
-    # c = 1e100 the squares of SQUAREM's sigma2 steps overflow
+    # c = 1e100 sigma2 is ~5e198, whose square overflows
     gt, model = probe_fit(1.0)
     _, scaled = probe_fit(c)
     r2 = component_r2(extract_directions(model), gt)
     np.testing.assert_allclose(component_r2(extract_directions(scaled), gt), r2, atol=1e-4)
     assert scaled.noise_variance / (c * c) == pytest.approx(model.noise_variance, rel=1e-3)
+
+
+@pytest.mark.parametrize("c, m, k", [(1e58, 0.0, 1), (1e-154, 0.4, 1)],
+                         ids=["estep-overflow", "pivot-overflow"])
+def test_fit_never_warns_whatever_the_units(c, m, k):
+    # at 1e58 the E-step's outer products overflow if a SQUAREM step takes
+    # the loadings past 1e154, and at 1e-154 a sweep pivot's reciprocal
+    # overflows; neither may surface as a numpy warning, which this suite's
+    # filter turns into an error
+    gt = make_ground_truth(60, (1.0, 0.5), 0.05, 1)
+    x = apply_mcar_mask(sample_dataset(gt, 400, 2) * c, m, 3)
+    try:
+        model = fit_ppca(x, FitOptions(k=k))
+    except SpikedPcaError:
+        return
+    assert np.isfinite(model.loadings).all()
 
 
 def test_fit_rejects_overflowing_sum_of_squares():
@@ -309,26 +326,47 @@ def test_rejected_extrapolation_keeps_plain_em_point(monkeypatch):
     # the second EM step
     monkeypatch.setattr(_ObservedEm, "start", random_start)
     x = reference_data(2)
-    em, (p0, p1, p2) = em_path(x, 2, seed=1, steps=2, start=random_start)
+    em, (p0, p1, p2) = em_path(x, 2, seed=12, steps=2, start=random_start)
     A, sigma2 = _extrapolate(p0[:2], p1[:2], p2[:2], em.sigma2_floor)
     assert sigma2 > em.sigma2_floor and em.estep(A, sigma2, 2).ll < p1.ll
-    capped = fit_ppca(x, FitOptions(k=2, seed=1, max_iterations=2))
+    capped = fit_ppca(x, FitOptions(k=2, seed=12, max_iterations=2))
     assert np.array_equal(capped.loadings, p2.A)
     assert capped.noise_variance == p2.sigma2
     assert capped.loglik_history.tolist() == [p0.ll, p2.ll]
-    h = fit_ppca(x, FitOptions(k=2, seed=1)).loglik_history
+    h = fit_ppca(x, FitOptions(k=2, seed=12)).loglik_history
     assert (np.diff(h) / np.abs(h[:-1])).min() >= -1e-12
 
 
-@pytest.mark.parametrize("sigma2s", [(0.5, 0.5, 0.5), (1.0, 0.4, 0.1), (1e300, 1e200, 1e300)],
-                         ids=["v_vanishes", "sigma2_below_floor", "square_overflows"])
-def test_extrapolate_returns_theta2_where_the_step_is_undefined(sigma2s):
-    # with equal loadings, sigma2 falling 1.0 -> 0.4 -> 0.1 gives r = -0.6,
-    # v = 0.3 and alpha = -2: the step lands at 1.0 - 2.4 + 1.2 = -0.2;
-    # r^2 and v^2 of 1e300 -> 1e200 -> 1e300 overflow to inf
-    A = np.arange(6.0).reshape(3, 2)
-    theta0, theta1, theta2 = ((A, s) for s in sigma2s)
-    assert _extrapolate(theta0, theta1, theta2, 1e-12) is theta2
+@pytest.mark.parametrize(
+    "steps, sigma2s",
+    [((0.0, 0.0, 0.0), (1.0, 0.4, 0.1)), ((0.0, 2.0, 5.0), (1.0, 0.4, 0.1)),
+     ((0.0, 1e200, 3e200), (1.0, 0.5, 0.25))],
+    ids=["v_vanishes", "sigma2_below_floor", "square_overflows"],
+)
+def test_extrapolate_returns_theta2_where_the_step_is_undefined(steps, sigma2s):
+    # the loadings are A + s B for s in steps. Loadings that do not move
+    # leave v_A = 0 whatever sigma2 does; s = 0, 2, 5 gives r_A = 2 B,
+    # v_A = B and alpha = -2, and sigma2 falling 1.0 -> 0.4 -> 0.1 gives
+    # r = -0.6, v = 0.3: the step lands at 1.0 - 2.4 + 1.2 = -0.2; the
+    # squares of r_A and v_A of 1e200 B overflow to inf, and alpha to nan
+    A, B = np.arange(6.0).reshape(3, 2), np.ones((3, 2))
+    theta0, theta1, theta2 = ((A + t * B, s) for t, s in zip(steps, sigma2s))
+    with np.errstate(over="ignore", invalid="ignore"):  # as inside fit_ppca
+        assert _extrapolate(theta0, theta1, theta2, 1e-12) is theta2
+
+
+@pytest.mark.parametrize("c", [1e-8, 1e8])
+def test_extrapolate_is_unit_equivariant(c):
+    # data scaled by c scale the loadings by c and sigma2 by c^2; the step
+    # length is a ratio of loading norms, so the point scales the same way
+    x = reference_data(2)
+    em, path = em_path(x, 2, seed=92, steps=2)
+    thetas = [p[:2] for p in path]
+    A, sigma2 = _extrapolate(*thetas, em.sigma2_floor)
+    assert A is not thetas[2][0]  # a true extrapolation, not the plain EM point
+    Ac, sigma2c = _extrapolate(*((a * c, s * c * c) for a, s in thetas), em.sigma2_floor * c * c)
+    np.testing.assert_allclose(Ac, A * c, rtol=1e-12, atol=0.0)
+    assert sigma2c == pytest.approx(sigma2 * c * c, rel=1e-12)
 
 
 def test_failed_extrapolation_estep_keeps_plain_em_point(monkeypatch):
