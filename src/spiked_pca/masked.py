@@ -119,8 +119,8 @@ def center_observed(x):
         mean = centered.sum(axis=0) / counts
         centered -= mean
         centered *= x.mask  # unobserved entries back to (signed) zero
-        # the sum is non-finite if a mean or a centered entry is; squares
-        # overflow sooner, so the fit checks its own sum of squares
+        # the sum is non-finite if a mean or a centered entry is; the fit
+        # divides by the largest entry before it squares any
         if not math.isfinite(centered.sum()):
             raise NumericalError("centered data not finite: the data overflow")
     centered.flags.writeable = False  # fresh, so MaskedMatrix need not copy it

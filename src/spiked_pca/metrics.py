@@ -102,10 +102,10 @@ def estimate_snr(eigenvalues, k):
 
     sigma2_hat is the mean of the trailing D - k eigenvalues and
     S_i = (lambda_i - sigma2_hat) / sigma2_hat for i <= k. A sigma2_hat
-    not above SIGMA2_FLOOR times the mean eigenvalue counts as zero and
-    raises DomainError, as the fitter's noise floor does. Sorted input
-    keeps every S_i at or above 0 up to rounding; estimates are floored
-    at 0, since a negative ratio has no meaning downstream.
+    not above SIGMA2_FLOOR times the mean eigenvalue, the fitter's floor
+    relative to the mean square, counts as zero and raises DomainError.
+    Sorted input keeps every S_i at or above 0 up to rounding; estimates
+    are floored at 0, since a negative ratio has no meaning downstream.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.ndim != 1:

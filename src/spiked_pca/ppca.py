@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DomainError, NumericalError, check_integer, check_positive
 from .masked import center_observed
 
-SIGMA2_FLOOR = 1e-12  # the floor of sigma2, as a fraction of the mean observed square
+SIGMA2_FLOOR = 1e-12  # sigma2's floor in the fit's units: a fraction of the mean square
 TOLERANCE_STREAK = 3  # consecutive cycles below rel_tolerance that stop a fit
 # the spectral start: block width k + SPECTRAL_OVERSAMPLE, SPECTRAL_ITERATIONS
 # subspace iterations, and start loading variances floored at
@@ -105,24 +105,25 @@ def _spd_inverse(G, step, iteration):
 
 
 class _ObservedEm:
-    """The EM map of observed-entry PPCA on one centered masked matrix."""
+    """The EM map of observed-entry PPCA on one masked matrix, centered and scaled to unit RMS."""
 
-    def __init__(self, centered):
-        mask = centered.mask
-        self.n, self.d = mask.shape
-        self.W = mask.astype(float)
-        self.Y = centered.values  # zero at unobserved entries
-        obs_per_row = mask.sum(axis=1)
+    def __init__(self, x):
+        Y, self.mean = center_observed(x)  # rejects fully missing columns
+        self.n, self.d = x.mask.shape
+        top = max(float(Y.values.max()), -float(Y.values.min()))  # so no square overflows
+        if top == 0.0:
+            raise DomainError("the observed entries do not vary about their column means")
+        self.Y = Y = Y.values / top  # rebinding Y frees the centered copy before W is built
+        obs_per_row = x.mask.sum(axis=1)
         self.n_skipped = int(np.count_nonzero(obs_per_row == 0))
         self.total_obs = float(obs_per_row.sum())
         self.yy_col = np.einsum("nd,nd->d", self.Y, self.Y)
+        mean_square = float(self.yy_col.sum()) / self.total_obs
+        self.Y /= math.sqrt(mean_square)
+        self.yy_col /= mean_square
         self.sum_yy = float(self.yy_col.sum())
-        if not math.isfinite(self.sum_yy):
-            raise NumericalError("sum of squares not finite: the data overflow")
-        # relative, so that a fit does not depend on the data's units
-        self.sigma2_floor = SIGMA2_FLOOR * self.sum_yy / self.total_obs
-        if self.sigma2_floor == 0.0:  # also where the product underflows
-            raise DomainError("the observed entries vary too little about their column means")
+        self.scale = top * math.sqrt(mean_square)
+        self.W = x.mask.astype(float)
 
     def start(self, k, seed):
         """The spectral start and its E-step.
@@ -154,11 +155,9 @@ class _ObservedEm:
             lam, U = np.linalg.eigh(Q.T @ cov_times(Q))  # Rayleigh-Ritz
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"spectral start failed: {exc}") from exc
-        if not (np.isfinite(lam).all() and np.isfinite(U).all()):
-            raise NumericalError("spectral start not finite: the data overflow")
         lam, V = lam[::-1][:k], Q @ U[:, ::-1][:, :k]
         trace = self.sum_yy / (n_eff * p)
-        sigma2 = max((trace - float(lam.sum())) / (self.d - k), self.sigma2_floor)
+        sigma2 = max((trace - float(lam.sum())) / (self.d - k), SIGMA2_FLOOR)
         A = V * np.sqrt(np.maximum(lam - sigma2, SPECTRAL_FLOOR * sigma2))
         return self.estep(A, sigma2, 0)
 
@@ -195,11 +194,11 @@ class _ObservedEm:
         At = (S2inv * S1).sum(axis=1)  # the loadings, k x d
         # pooled noise variance over all observed entries, floored; by the
         # normal equations the expected residual is sum y^2 - sum_d a_d^T S1_d
-        sigma2 = max((self.sum_yy - float((At * S1).sum())) / self.total_obs, self.sigma2_floor)
+        sigma2 = max((self.sum_yy - float((At * S1).sum())) / self.total_obs, SIGMA2_FLOOR)
         return np.ascontiguousarray(At.T), sigma2
 
 
-def _extrapolate(theta0, theta1, theta2, floor):
+def _extrapolate(theta0, theta1, theta2):
     """The SQUAREM point theta0 - 2 alpha r + alpha^2 v over (A, sigma2).
 
     Each theta is a pair (A, sigma2). r = theta1 - theta0 and
@@ -208,7 +207,7 @@ def _extrapolate(theta0, theta1, theta2, floor):
     alone so that it does not move with the data's units, and alpha = -1
     gives theta2 itself. Where the step is undefined (v_A vanishes, a
     square overflows, or the extrapolated noise variance is not above
-    ``floor``) it returns theta2, the plain EM point, never None.
+    SIGMA2_FLOOR) it returns theta2, the plain EM point, never None.
     """
     (a0, s0), (a1, s1), (a2, s2) = theta0, theta1, theta2
     r_a, v_a = a1 - a0, a2 - 2.0 * a1 + a0
@@ -218,7 +217,7 @@ def _extrapolate(theta0, theta1, theta2, floor):
     alpha = min(-math.sqrt(float((r_a * r_a).sum())) / norm_v, -1.0)
     r_s, v_s = s1 - s0, s2 - 2.0 * s1 + s0
     sigma2 = s0 - 2.0 * alpha * r_s + alpha * alpha * v_s
-    if not sigma2 > floor:  # also where an overflow made it nan
+    if not sigma2 > SIGMA2_FLOOR:  # also where an overflow made it nan
         return theta2
     return a0 - 2.0 * alpha * r_a + alpha * alpha * v_a, sigma2
 
@@ -255,16 +254,15 @@ def fit_ppca(x, opts):
         ``opts.rel_tolerance`` for ``TOLERANCE_STREAK`` (three) consecutive
         cycles, or when a whole cycle no longer fits in
         ``opts.max_iterations`` EM steps (a cap of 1 returns the start).
+        EM runs at unit RMS; a model no double holds in the data's units raises NumericalError.
     """
     k = opts.k
     if k >= x.n_cols:
         raise DomainError(f"need k < D, got k={k}, D={x.n_cols}")
 
-    centered, mean = center_observed(x)  # rejects fully missing columns
-    # the one numerical boundary: an overflow or NaN shows up only as a value
-    # that the checks of sum y^2, the start, the pivots and ll reject
+    # the one numerical boundary: overflow and NaN surface only as values the checks reject
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        em = _ObservedEm(centered)
+        em = _ObservedEm(x)
         rows = em.n - em.n_skipped  # centered, they span at most rows - 1 dimensions
         if k >= rows:
             raise DomainError(f"need k < the rows observing any entry, got k={k}, rows={rows}")
@@ -278,7 +276,7 @@ def fit_ppca(x, opts):
             theta2 = em.mstep(p1, n_iter + 1)
             n_iter += 2
             try:
-                q = em.estep(*_extrapolate(p0[:2], p1[:2], theta2, em.sigma2_floor), n_iter)
+                q = em.estep(*_extrapolate(p0[:2], p1[:2], theta2), n_iter)
             except NumericalError:
                 q = None  # fall back to the plain EM point
             p = q if q is not None and q.ll >= p1.ll else em.estep(*theta2, n_iter)
@@ -286,14 +284,19 @@ def fit_ppca(x, opts):
             rel = (p.ll - p0.ll) / abs(p0.ll)
             streak = streak + 1 if abs(rel) < opts.rel_tolerance else 0
 
+        s = em.scale  # back to the data's units; s * s, since s ** 2 raises on overflow
+        loadings, sigma2 = p.A * s, p.sigma2 * s * s
+        if not (0.0 < sigma2 < math.inf and np.isfinite(loadings).all()):
+            raise NumericalError("the fit is out of range in the data's units")
+    shift = em.total_obs * math.log(s)
     return PpcaModel(
-        mean=mean,
-        loadings=p.A,
-        noise_variance=float(p.sigma2),
-        log_likelihood=p.ll,
+        mean=em.mean,
+        loadings=loadings,
+        noise_variance=sigma2,
+        log_likelihood=p.ll - shift,
         n_iterations=n_iter,
         converged=streak >= TOLERANCE_STREAK,
-        loglik_history=np.asarray(history),
+        loglik_history=np.asarray(history) - shift,
         n_skipped_rows=em.n_skipped,
     )
 
