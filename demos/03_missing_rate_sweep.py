@@ -4,7 +4,7 @@ Runs the full protocol: one ground truth, a fresh dataset per
 repetition, a fresh mask per (repetition, rate) cell, EM fits, and
 per-component alignment aggregated over repetitions. The output table
 puts the Monte Carlo means next to the two competing predictions. Takes
-roughly half a minute.
+about a second.
 """
 
 import numpy as np

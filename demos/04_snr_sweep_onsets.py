@@ -4,7 +4,7 @@ Per repetition one low-noise dataset is drawn and one mask is fixed;
 each grid step then adds isotropic noise of growing variance before
 fitting, which walks the resulting ratio S = ||a||^2 / (sigma^2 +
 sigma^2_added) downward. Higher missing rates need a better ratio
-before learning starts: the onset moves right. Takes about a minute.
+before learning starts: the onset moves right. Takes about two seconds.
 """
 
 import math

@@ -8,7 +8,7 @@ Two candidate corrections to the complete-data learning curve:
 Both agree at m = 0 and both predict a shutoff, but they disagree
 sharply at high missing rates. This demo runs a missing-rate sweep and
 scores both against the measured curve; the reduced-SNR form wins by a
-wide margin. Takes roughly half a minute.
+wide margin. Takes under a second.
 """
 
 import numpy as np

@@ -95,15 +95,12 @@ def _cmd_experiment(args):
         if min_m and cfg.sweep_kind != "missing_rate":
             raise DomainError("min_m is only for the missing_rate sweep")
     result = run_sweep(cfg)
-    cap = f"stopped at max_iterations ({cfg.fit.max_iterations})"
-    for cell in result.cells:
-        if cell.error or not cell.converged:
-            print(
-                f"{'failed' if cell.error else 'unconverged'} cell: "
-                f"repetition {cell.repetition}, "
-                f"grid value {format(cell.sweep_value, REAL_FORMAT)}: {cell.error or cap}",
-                file=sys.stderr,
-            )
+    for cell in result.failures:
+        print(
+            f"failed cell: repetition {cell.repetition}, "
+            f"grid value {format(cell.sweep_value, REAL_FORMAT)}: {cell.error}",
+            file=sys.stderr,
+        )
     summary = None
     if min_m is not None:
         rmse_snr, rmse_sample = compare_hypotheses(result, min_m)

@@ -134,22 +134,21 @@ class CellResult:
     ``sweep_value`` is the config's grid value (the added noise variance on
     an SNR sweep), unlike a CurveRecord's, which is the resulting S there;
     the CLI prints it as ``grid value``. ``r2`` is empty and ``error``
-    nonempty exactly when the fit raised. A fit with ``converged`` False
-    stopped at ``max_iterations``; its R^2 still enters the cell's aggregate.
+    nonempty exactly when the fit failed: it raised, or it stopped at
+    ``max_iterations``. A failed fit does not enter the cell's aggregate.
     """
 
     repetition: int
     cell_index: int
     sweep_value: float
     r2: tuple
-    converged: bool
     error: str
 
 
 @dataclass(frozen=True)
 class SweepResult:
     """CurveRecords (what iteration and ``len`` see) plus one CellResult per
-    fit in lattice order, of which ``failures`` and ``unconverged`` are views."""
+    fit in lattice order, of which ``failures`` is a view."""
 
     records: tuple
     cells: tuple
@@ -163,10 +162,6 @@ class SweepResult:
     @property
     def failures(self):
         return tuple(c for c in self.cells if c.error)
-
-    @property
-    def unconverged(self):
-        return tuple(c for c in self.cells if not (c.error or c.converged))
 
 
 def _missing_rate_cell(cfg, gt, m):
@@ -198,11 +193,11 @@ def run_sweep(cfg):
     where its rate m is the same, else draws one seeded (repetition, cell,
     STREAM_MASK), so one mask is live at a time; it adds noise seeded
     (repetition, cell, STREAM_NOISE) only where its rule gives a variance.
-    Every fit becomes one CellResult; a fit that raises keeps its message
-    and no R^2, and is not retried, so the aggregates stay unbiased. Each
-    grid cell with a surviving fit is summarized by the sample mean and,
-    for two or more, the sample standard deviation; both theory columns
-    follow from its m and S.
+    Every fit becomes one CellResult; a fit that raises or stops at
+    ``max_iterations`` keeps a message and no R^2, and is not retried, so
+    the aggregates stay unbiased. Each grid cell with a surviving fit is
+    summarized by the sample mean and, for two or more, the sample
+    standard deviation; both theory columns follow from its m and S.
     """
     _, rule = SWEEP_KINDS[cfg.sweep_kind]
     alpha = cfg.n / cfg.d
@@ -222,10 +217,12 @@ def run_sweep(cfg):
             seed = derive_cell_seed(cfg.base_seed, rep, ci, STREAM_FIT)
             try:
                 model = fit_ppca(x, replace(cfg.fit, seed=seed))
+                if not model.converged:
+                    raise SpikedPcaError(f"stopped at max_iterations ({cfg.fit.max_iterations})")
                 r2 = tuple(component_r2(extract_directions(model), gt).tolist())
-                results.append(CellResult(rep, ci, cfg.grid[ci], r2, model.converged, ""))
+                results.append(CellResult(rep, ci, cfg.grid[ci], r2, ""))
             except SpikedPcaError as exc:
-                results.append(CellResult(rep, ci, cfg.grid[ci], (), False, str(exc)))
+                results.append(CellResult(rep, ci, cfg.grid[ci], (), str(exc)))
 
     records = []
     for ci, (m, _, snrs, sweep_values) in enumerate(points):

@@ -102,11 +102,11 @@ def apply_mcar_mask(data, m, seed):
 def center_observed(x):
     """Subtract per-column observed means from the observed entries.
 
-    Returns the centered matrix, whose unobserved entries are written as
-    0 of either sign, and the mean vector needed to invert the transform. A column with
-    no observed entries has no mean and raises :class:`DomainError`, as
-    does a non-finite observed value; finite values whose centering
-    overflows raise :class:`NumericalError`.
+    Returns the centered values, a fresh writeable array whose unobserved
+    entries are 0 of either sign, and the mean vector needed to invert the
+    transform. A column with no observed entries has no mean and raises
+    :class:`DomainError`, as does a non-finite observed value; finite
+    values whose centering overflows raise :class:`NumericalError`.
     """
     counts = x.mask.sum(axis=0)
     empty = np.flatnonzero(counts == 0)
@@ -123,5 +123,4 @@ def center_observed(x):
         # divides by the largest entry before it squares any
         if not math.isfinite(centered.sum()):
             raise NumericalError("centered data not finite: the data overflow")
-    centered.flags.writeable = False  # fresh, so MaskedMatrix need not copy it
-    return MaskedMatrix(centered, x.mask), mean
+    return centered, mean

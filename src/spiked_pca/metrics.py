@@ -59,7 +59,7 @@ def component_r2(fitted, truth):
 def _centered_svd(values, compute_uv):
     """Thin SVD of the column-centered data; NumericalError if it overflows."""
     centered, _ = center_observed(MaskedMatrix.complete(values))
-    return np.linalg.svd(centered.values, full_matrices=False, compute_uv=compute_uv)
+    return np.linalg.svd(centered, full_matrices=False, compute_uv=compute_uv)
 
 
 def covariance_eigenvalues(x):

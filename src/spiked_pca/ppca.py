@@ -108,12 +108,12 @@ class _ObservedEm:
     """The EM map of observed-entry PPCA on one masked matrix, centered and scaled to unit RMS."""
 
     def __init__(self, x):
-        Y, self.mean = center_observed(x)  # rejects fully missing columns
+        self.Y, self.mean = center_observed(x)  # rejects fully missing columns
         self.n, self.d = x.mask.shape
-        top = max(float(Y.values.max()), -float(Y.values.min()))  # so no square overflows
+        top = max(float(self.Y.max()), -float(self.Y.min()))  # so no square overflows
         if top == 0.0:
             raise DomainError("the observed entries do not vary about their column means")
-        self.Y = Y = Y.values / top  # rebinding Y frees the centered copy before W is built
+        self.Y /= top
         obs_per_row = x.mask.sum(axis=1)
         self.n_skipped = int(np.count_nonzero(obs_per_row == 0))
         self.total_obs = float(obs_per_row.sum())
@@ -253,7 +253,7 @@ def fit_ppca(x, opts):
         stops once their relative increase stays below
         ``opts.rel_tolerance`` for ``TOLERANCE_STREAK`` (three) consecutive
         cycles, or when a whole cycle no longer fits in
-        ``opts.max_iterations`` EM steps (a cap of 1 returns the start).
+        ``opts.max_iterations`` EM steps (a limit of 1 returns the start).
         EM runs at unit RMS; a model no double holds in the data's units raises NumericalError.
     """
     k = opts.k

@@ -11,12 +11,10 @@ import spiked_pca.ppca
 from spiked_pca import (
     ExperimentConfig,
     FitOptions,
-    read_experiment_config,
     read_masked_csv,
     run_sweep,
     theory_r2_effective_sample,
     theory_r2_missing,
-    write_curve_csv,
 )
 from spiked_pca.cli import cli_main
 from spiked_pca.fileio import REAL_FORMAT
@@ -458,54 +456,52 @@ def test_experiment_end_to_end(tmp_path, capsys):
     assert (tmp_path / "curve1.csv").read_bytes() == (tmp_path / "curve2.csv").read_bytes()
 
 
-def test_experiment_reports_unconverged_cells(tmp_path, capsys):
-    cfg = tmp_path / "exp.ini"
-    cfg.write_text(EXPERIMENT_CONFIG.replace("max_iterations = 300", "max_iterations = 2"))
-    out = tmp_path / "curve.csv"
-    assert cli_main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 2 * 3  # two repetitions x three grid values
-    assert all(line.startswith("unconverged cell: repetition ") for line in err)
-    assert "grid value 0.8: stopped at max_iterations (2)" in err[-1]
-    # the flags go to stderr only; the curve CSV is the library's
-    expected = tmp_path / "expected.csv"
-    write_curve_csv(run_sweep(read_experiment_config(str(cfg))), str(expected))
-    assert out.read_bytes() == expected.read_bytes()
-
-
 def test_experiment_prints_grid_values_in_the_number_format(tmp_path, capsys):
     # linspace(0, 0.3, 7)[1] is 0.049999999999999996, which the curve CSV writes as 0.05
     cfg = tmp_path / "exp.ini"
     cfg.write_text(EXPERIMENT_CONFIG.replace("grid = 0.0, 0.4, 0.8", "grid = linspace(0, 0.3, 7)")
                    .replace("repetitions = 2", "repetitions = 1")
                    .replace("max_iterations = 300", "max_iterations = 2"))
-    assert cli_main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == 0
+    assert cli_main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert "unconverged cell: repetition 0, grid value 0.05: stopped at max_iterations (2)" in err
+    assert "failed cell: repetition 0, grid value 0.05: stopped at max_iterations (2)" in err
+
+
+SMALL = [("n = 60", "n = 20"), ("d = 40", "d = 10")]
+NO_MEAN = "column 0: cannot compute an observed mean"
 
 
 @pytest.mark.parametrize(
-    "grid,flags,failed_values,error",
+    "edits,flags,failed_values,reason,error",
     [
         # every fit fails, so there is no record to write
-        ("0.999, 1.0", [], ["0.999", "0.999", "1", "1"], "refusing to write an empty record set"),
+        ([("grid = 0.0, 0.4, 0.8", "grid = 0.999, 1.0"), *SMALL], [],
+         ["0.999", "0.999", "1", "1"], NO_MEAN, "refusing to write an empty record set"),
+        # a fit that stops at the cap fails its cell the same way
+        ([("max_iterations = 300", "max_iterations = 2")], [],
+         ["0", "0", "0.4", "0.4", "0.8", "0.8"], "stopped at max_iterations (2)",
+         "refusing to write an empty record set"),
         # the surviving m = 0 records lie below MIN_M
-        ("0.0, 1.0", ["--compare-hypotheses", "0.5"], ["1", "1"],
-         "no first-component records at or above min_m"),
+        ([("grid = 0.0, 0.4, 0.8", "grid = 0.0, 1.0"), *SMALL], ["--compare-hypotheses", "0.5"],
+         ["1", "1"], NO_MEAN, "no first-component records at or above min_m"),
     ],
-    ids=["all_fits_fail", "no_records_above_min_m"],
+    ids=["all_fits_fail", "all_fits_capped", "no_records_above_min_m"],
 )
-def test_experiment_names_failed_cells_before_exiting(tmp_path, capsys, grid, flags,
-                                                      failed_values, error):
+def test_experiment_names_failed_cells_before_exiting(tmp_path, capsys, edits, flags,
+                                                      failed_values, reason, error):
+    text = EXPERIMENT_CONFIG
+    for old, new in edits:
+        text = text.replace(old, new)
     cfg = tmp_path / "exp.ini"
-    cfg.write_text(EXPERIMENT_CONFIG.replace("grid = 0.0, 0.4, 0.8", f"grid = {grid}")
-                   .replace("n = 60", "n = 20").replace("d = 40", "d = 10"))
+    cfg.write_text(text)
     out = tmp_path / "c.csv"
     assert cli_main(["experiment", "--config", str(cfg), "--out", str(out), *flags]) == 1
     err = capsys.readouterr().err.splitlines()
-    failed = [line for line in err if line.startswith("failed cell: repetition ")]
-    assert sorted(line.split("grid value ")[1].split(":")[0] for line in failed) == failed_values
     assert err[-1] == f"error: {error}"
+    failed = [line.split(", grid value ") for line in err[:-1]]
+    assert all(head.startswith("failed cell: repetition ") for head, _ in failed)
+    assert sorted(tail.split(": ")[0] for _, tail in failed) == failed_values
+    assert all(tail.split(": ", 1)[1] == reason for _, tail in failed)
     assert not out.exists()
 
 

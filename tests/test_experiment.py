@@ -36,8 +36,8 @@ def small_config(**overrides):
 
 
 def check_cells(result, cfg):
-    """``cells`` holds one CellResult per fit in lattice order, the flag
-    views filter it, and every record is the exact fold of its cells."""
+    """``cells`` holds one CellResult per fit in lattice order, ``failures``
+    filters it, and every record is the exact fold of its cells."""
     assert all(isinstance(c, CellResult) for c in result.cells)
     assert [(c.repetition, c.cell_index, c.sweep_value) for c in result.cells] == [
         (rep, ci, v) for rep in range(cfg.repetitions) for ci, v in enumerate(cfg.grid)
@@ -45,9 +45,6 @@ def check_cells(result, cfg):
     assert all((c.r2 == ()) == (c.error != "") for c in result.cells)
     assert all(len(c.r2) == cfg.fit.k for c in result.cells if not c.error)
     assert result.failures == tuple(c for c in result.cells if c.error)
-    assert result.unconverged == tuple(
-        c for c in result.cells if not c.error and not c.converged
-    )
     fitted = [
         ci for ci in range(len(cfg.grid))
         if any(c.cell_index == ci and not c.error for c in result.cells)
@@ -167,20 +164,19 @@ def test_missing_sweep_record_counts():
     assert all(r.n_reps == 3 for r in result)
     assert all(0.0 <= r.r2_mean <= 1.0 and r.r2_std >= 0.0 for r in result)
     assert not result.failures
-    assert not result.unconverged
 
 
 def test_missing_sweep_flags_unconverged_cells():
     cfg = small_config(fit=FitOptions(k=2, max_iterations=2))
     result = run_sweep(cfg)
     check_cells(result, cfg)
-    assert not result.failures
-    # every fit hits the cap; each is flagged and still averaged in
-    flagged = [(u.repetition, u.cell_index, u.sweep_value) for u in result.unconverged]
-    assert flagged == [
-        (rep, ci, value) for rep in range(3) for ci, value in enumerate(cfg.grid)
+    # every fit hits the cap; each is a failed cell and none is averaged in
+    failed = [(f.repetition, f.cell_index, f.sweep_value, f.error) for f in result.failures]
+    assert failed == [
+        (rep, ci, value, "stopped at max_iterations (2)")
+        for rep in range(3) for ci, value in enumerate(cfg.grid)
     ]
-    assert len(result) == 10 and all(r.n_reps == 3 for r in result)
+    assert len(result) == 0
 
 
 @pytest.mark.parametrize(
@@ -272,6 +268,35 @@ def test_sweep_records_rank_deficient_fits_as_failed(monkeypatch):
     assert len(result) == 0
     assert len(result.failures) == len(result.cells) == 4
     assert all(f.error == "loadings are rank deficient (rank 1 < k=2)" for f in result.failures)
+
+
+def test_sweep_leaves_a_capped_fit_out_of_the_mean(monkeypatch):
+    # repetition 1 of grid cell 2 stops at the cap; the other two fits of
+    # that cell alone make its records
+    cfg = small_config()
+    reference = run_sweep(cfg)
+    real_fit = experiment.fit_ppca
+    calls = []
+
+    def capped_once(x, opts):
+        model = real_fit(x, opts)
+        # the fits run in lattice order: repetition by repetition, each in grid order
+        if divmod(len(calls), len(cfg.grid)) == (1, 2):
+            model = replace(model, converged=False)
+        calls.append(opts.seed)
+        return model
+
+    monkeypatch.setattr(experiment, "fit_ppca", capped_once)
+    result = run_sweep(cfg)
+    check_cells(result, cfg)
+    (failed,) = result.failures
+    assert (failed.repetition, failed.cell_index) == (1, 2)
+    assert failed.error == "stopped at max_iterations (300)"
+    kept = [c.r2 for c in reference.cells if c.cell_index == 2 and c.repetition != 1]
+    records = [r for r in result if r.sweep_value == cfg.grid[2]]
+    assert [r.n_reps for r in records] == [2, 2]
+    assert [r.r2_mean for r in records] == np.mean(kept, axis=0).tolist()
+    assert all(r.n_reps == 3 for r in result if r.sweep_value != cfg.grid[2])
 
 
 @pytest.mark.parametrize(

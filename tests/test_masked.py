@@ -72,7 +72,7 @@ def test_values_preserved_at_observed_entries():
 def test_center_fully_observed_column():
     x = MaskedMatrix.complete(np.array([[1.0], [2.0], [3.0]]))
     centered, mean = center_observed(x)
-    assert np.array_equal(centered.values[:, 0], [-1.0, 0.0, 1.0])
+    assert np.array_equal(centered[:, 0], [-1.0, 0.0, 1.0])
     assert mean[0] == 2.0
 
 
@@ -81,9 +81,8 @@ def test_center_column_with_missing_entry():
     mask = np.array([[True], [False], [True]])
     centered, mean = center_observed(MaskedMatrix(values, mask))
     assert mean[0] == 2.0
-    assert centered.values[0, 0] == -1.0
-    assert centered.values[2, 0] == 1.0
-    assert not centered.mask[1, 0]
+    assert centered[0, 0] == -1.0
+    assert centered[2, 0] == 1.0
 
 
 def test_center_writes_zero_at_unobserved_entries():
@@ -91,7 +90,7 @@ def test_center_writes_zero_at_unobserved_entries():
     mask = np.array([[True, False], [False, True], [True, True]])
     centered, mean = center_observed(MaskedMatrix(values, mask))
     assert np.array_equal(mean, [2.0, 6.0])
-    assert np.array_equal(centered.values, [[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
+    assert np.array_equal(centered, [[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
 
 
 def test_center_matches_masked_subtraction():
@@ -101,14 +100,14 @@ def test_center_matches_masked_subtraction():
     centered, mean = center_observed(x)
     observed = np.where(x.mask, x.values, 0.0)
     assert np.array_equal(mean, observed.sum(axis=0) / x.mask.sum(axis=0))
-    assert np.array_equal(centered.values, np.where(x.mask, x.values - mean, 0.0))
+    assert np.array_equal(centered, np.where(x.mask, x.values - mean, 0.0))
 
 
 def test_center_already_centered_is_identity():
     x = MaskedMatrix.complete(np.array([[1.0, -2.0], [-1.0, 2.0]]))
     centered, mean = center_observed(x)
     assert np.array_equal(mean, [0.0, 0.0])
-    assert np.array_equal(centered.values, x.values)
+    assert np.array_equal(centered, x.values)
 
 
 def test_center_rejects_fully_missing_column():
@@ -147,14 +146,14 @@ def test_center_roundtrip_restores_observed_values():
     x = MaskedMatrix(data, np.array([[1, 1], [1, 0], [1, 1], [1, 1]], dtype=bool))
     centered, mean = center_observed(x)
     assert np.array_equal(mean, [4.0, 4.0])
-    restored = centered.values + mean
+    restored = centered + mean
     assert np.array_equal(restored[x.mask], x.values[x.mask])
 
     # general data round-trips to floating point accuracy
     rng = np.random.default_rng(3)
     y = apply_mcar_mask(rng.normal(size=(40, 25)) * 3 + 1, 0.35, seed=8)
     centered, mean = center_observed(y)
-    restored = centered.values + mean
+    restored = centered + mean
     assert np.allclose(restored[y.mask], y.values[y.mask], rtol=1e-12, atol=1e-12)
 
 
@@ -182,9 +181,9 @@ def test_masked_matrix_wraps_read_only_arrays_without_copy():
     x = MaskedMatrix(values, mask)
     assert np.shares_memory(x.values, values)
     assert np.shares_memory(x.mask, mask)
-    # a derived matrix shares the mask of the matrix it was built from
+    # the centered values are a fresh array the caller may change
     centered, _ = center_observed(x)
-    assert centered.mask is x.mask
+    assert centered.flags.writeable and not np.shares_memory(centered, values)
 
 
 def test_masked_matrix_copies_writeable_arrays():
