@@ -98,7 +98,7 @@ def _cmd_experiment(args):
     for cell in result.failures:
         print(
             f"failed cell: repetition {cell.repetition}, "
-            f"grid value {format(cell.sweep_value, REAL_FORMAT)}: {cell.error}",
+            f"grid value {format(cfg.grid[cell.cell_index], REAL_FORMAT)}: {cell.error}",
             file=sys.stderr,
         )
     summary = None

@@ -131,16 +131,14 @@ class CurveRecord:
 class CellResult:
     """One (repetition, grid cell) fit: its per-component R^2 or its error.
 
-    ``sweep_value`` is the config's grid value (the added noise variance on
-    an SNR sweep), unlike a CurveRecord's, which is the resulting S there;
-    the CLI prints it as ``grid value``. ``r2`` is empty and ``error``
-    nonempty exactly when the fit failed: it raised, or it stopped at
-    ``max_iterations``. A failed fit does not enter the cell's aggregate.
+    The cell's grid value is ``cfg.grid[cell_index]``. ``r2`` is empty and
+    ``error`` nonempty exactly when the fit failed: it raised, or it
+    stopped at ``max_iterations``. A failed fit does not enter the cell's
+    aggregate.
     """
 
     repetition: int
     cell_index: int
-    sweep_value: float
     r2: tuple
     error: str
 
@@ -148,7 +146,9 @@ class CellResult:
 @dataclass(frozen=True)
 class SweepResult:
     """CurveRecords (what iteration and ``len`` see) plus one CellResult per
-    fit in lattice order, of which ``failures`` is a view."""
+    fit in lattice order, of which ``failures`` is a view. A cell carries
+    its grid index, not a sweep value: on an SNR sweep a record's sweep
+    value is the resulting S, not the grid's added variance."""
 
     records: tuple
     cells: tuple
@@ -220,9 +220,9 @@ def run_sweep(cfg):
                 if not model.converged:
                     raise SpikedPcaError(f"stopped at max_iterations ({cfg.fit.max_iterations})")
                 r2 = tuple(component_r2(extract_directions(model), gt).tolist())
-                results.append(CellResult(rep, ci, cfg.grid[ci], r2, ""))
+                results.append(CellResult(rep, ci, r2, ""))
             except SpikedPcaError as exc:
-                results.append(CellResult(rep, ci, cfg.grid[ci], (), str(exc)))
+                results.append(CellResult(rep, ci, (), str(exc)))
 
     records = []
     for ci, (m, _, snrs, sweep_values) in enumerate(points):

@@ -25,35 +25,24 @@ class SnrEstimate:
     snr_per_component: np.ndarray
 
 
-def r_squared(a_hat, a_true):
-    """Squared cosine similarity between two nonzero vectors.
-
-    Invariant to rescaling or flipping either argument; 1 means the same
-    line, 0 means orthogonal.
-    """
-    a = np.asarray(a_hat, dtype=float).ravel()
-    b = np.asarray(a_true, dtype=float).ravel()
-    if a.shape != b.shape:
-        raise DomainError(f"vectors differ in length: {a.size} vs {b.size}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise DomainError("alignment with a zero vector is undefined")
-    c = float(a @ b) / (na * nb)
-    return min(c * c, 1.0)
-
-
 def component_r2(fitted, truth):
-    """Per-component alignment, pairing fitted and true columns by index.
+    """Per-component alignment: the squared cosine between each fitted
+    column and the true column of the same index.
 
     Both sides are ordered by magnitude (singular value and norm), which
-    mirrors how per-component curves are read off. Shapes must agree.
+    mirrors how per-component curves are read off. Each value ignores the
+    scale and sign of either column; 1 means the same line, 0 orthogonal.
+    Shapes must agree, and a zero column raises DomainError.
     """
     U = np.asarray(fitted, dtype=float)
     A = truth.directions
     if U.shape != A.shape:
         raise DomainError(f"shape mismatch: fitted {U.shape} vs truth {A.shape}")
-    return np.array([r_squared(U[:, i], A[:, i]) for i in range(U.shape[1])])
+    norms = np.linalg.norm(U, axis=0) * np.linalg.norm(A, axis=0)
+    if not norms.all():
+        raise DomainError("alignment with a zero vector is undefined")
+    c = (U * A).sum(axis=0) / norms
+    return np.minimum(c * c, 1.0)
 
 
 def _centered_svd(values, compute_uv):
@@ -84,15 +73,14 @@ def top_eigvec_complete(x, k):
 
     Columns are eigenvectors of (1/N) sum_n x_n x_n^T after centering,
     in descending eigenvalue order. This is the spectral reference the
-    EM fit must agree with when nothing is missing.
+    EM fit must agree with when nothing is missing. Centered data of N
+    rows have rank at most N - 1, so k must lie in [1, min(N - 1, D)].
     """
     values = complete_values(x)
     n, d = values.shape
-    if n < 2:
-        raise DomainError(f"need at least two samples, got {n}")
     check_integer("k", k, -math.inf)  # type only: the range check below names the bounds
-    if not 1 <= k <= min(n, d):
-        raise DomainError(f"need 1 <= k <= min(N, D), got k={k}")
+    if not 1 <= k <= min(n - 1, d):
+        raise DomainError(f"need 1 <= k <= min(N - 1, D), got k={k}, N={n}, D={d}")
     _, _, vt = _centered_svd(values, compute_uv=True)
     return vt[:k].T
 

@@ -302,22 +302,16 @@ def fit_ppca(x, opts):
 
 
 def extract_directions(model):
-    """Orthonormal direction estimates from a fitted model.
+    """Orthonormal direction estimates from a fitted PpcaModel.
 
     The loadings are only identified up to a k x k rotation, so the
     returned columns are the left singular vectors of A ordered by
-    descending singular value. Accepts a PpcaModel or a bare loading
-    matrix, and returns all k columns or raises DomainError where the
-    loadings are rank deficient.
+    descending singular value. Returns all k columns, or raises
+    DomainError where the loadings are rank deficient.
     """
-    A = np.asarray(getattr(model, "loadings", model), dtype=float)
-    if A.ndim != 2:
-        raise DomainError("loadings must be a D x k matrix")
-    if not np.all(np.isfinite(A)):
-        raise DomainError("loadings must be finite")
+    A = model.loadings
     U, s, _ = np.linalg.svd(A, full_matrices=False)
-    tol = s[0] * max(A.shape) * np.finfo(float).eps if s.size else 0.0
-    rank = int(np.count_nonzero(s > tol))
+    rank = int(np.count_nonzero(s > s[0] * max(A.shape) * np.finfo(float).eps))
     if rank < A.shape[1]:
         raise DomainError(f"loadings are rank deficient (rank {rank} < k={A.shape[1]})")
     return U

@@ -481,11 +481,17 @@ NO_MEAN = "column 0: cannot compute an observed mean"
         ([("max_iterations = 300", "max_iterations = 2")], [],
          ["0", "0", "0.4", "0.4", "0.8", "0.8"], "stopped at max_iterations (2)",
          "refusing to write an empty record set"),
+        # on an SNR sweep a cell's grid value is its added noise variance, not S
+        ([("sweep_kind = missing_rate", "sweep_kind = snr_via_added_noise"),
+          ("grid = 0.0, 0.4, 0.8", "grid = 0.0, 0.1, 0.5"),
+          ("max_iterations = 300", "max_iterations = 2")], [],
+         ["0", "0", "0.1", "0.1", "0.5", "0.5"], "stopped at max_iterations (2)",
+         "refusing to write an empty record set"),
         # the surviving m = 0 records lie below MIN_M
         ([("grid = 0.0, 0.4, 0.8", "grid = 0.0, 1.0"), *SMALL], ["--compare-hypotheses", "0.5"],
          ["1", "1"], NO_MEAN, "no first-component records at or above min_m"),
     ],
-    ids=["all_fits_fail", "all_fits_capped", "no_records_above_min_m"],
+    ids=["all_fits_fail", "all_fits_capped", "snr_sweep_capped", "no_records_above_min_m"],
 )
 def test_experiment_names_failed_cells_before_exiting(tmp_path, capsys, edits, flags,
                                                       failed_values, reason, error):

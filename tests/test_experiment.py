@@ -39,8 +39,8 @@ def check_cells(result, cfg):
     """``cells`` holds one CellResult per fit in lattice order, ``failures``
     filters it, and every record is the exact fold of its cells."""
     assert all(isinstance(c, CellResult) for c in result.cells)
-    assert [(c.repetition, c.cell_index, c.sweep_value) for c in result.cells] == [
-        (rep, ci, v) for rep in range(cfg.repetitions) for ci, v in enumerate(cfg.grid)
+    assert [(c.repetition, c.cell_index) for c in result.cells] == [
+        (rep, ci) for rep in range(cfg.repetitions) for ci in range(len(cfg.grid))
     ]
     assert all((c.r2 == ()) == (c.error != "") for c in result.cells)
     assert all(len(c.r2) == cfg.fit.k for c in result.cells if not c.error)
@@ -171,7 +171,8 @@ def test_missing_sweep_flags_unconverged_cells():
     result = run_sweep(cfg)
     check_cells(result, cfg)
     # every fit hits the cap; each is a failed cell and none is averaged in
-    failed = [(f.repetition, f.cell_index, f.sweep_value, f.error) for f in result.failures]
+    failed = [(f.repetition, f.cell_index, cfg.grid[f.cell_index], f.error)
+              for f in result.failures]
     assert failed == [
         (rep, ci, value, "stopped at max_iterations (2)")
         for rep in range(3) for ci, value in enumerate(cfg.grid)
@@ -245,7 +246,7 @@ def test_missing_sweep_records_failed_cells():
     check_cells(result, cfg)
     # the all-missing cell fails every repetition and is reported
     assert len(result.failures) == 3
-    assert all(f.sweep_value == 1.0 for f in result.failures)
+    assert all(cfg.grid[f.cell_index] == 1.0 for f in result.failures)
     values = {r.sweep_value for r in result}
     assert values == {0.0, 0.5}
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,22 +15,36 @@ from spiked_pca import (
     sample_dataset,
     top_eigvec_complete,
 )
-from spiked_pca.metrics import SnrEstimate, add_isotropic_noise, r_squared
+from spiked_pca.metrics import SnrEstimate, add_isotropic_noise
+
+
+def cos2(a, b):
+    return float(a @ b) ** 2 / float((a @ a) * (b @ b))
+
+
+def line(v):
+    """A one-component ground truth whose true direction is the vector v."""
+    v = np.asarray(v, dtype=float).reshape(-1, 1)
+    return replace(make_ground_truth(len(v), [1.0], 1.0, seed=0), directions=v)
+
+
+def column(v):
+    return np.asarray(v, dtype=float).reshape(-1, 1)
 
 
 def test_r_squared_geometry():
-    assert r_squared([1.0, 0.0], [0.0, 1.0]) == 0.0
-    assert r_squared([2.0, 0.0], [-1.0, 0.0]) == 1.0
-    assert r_squared([1.0, 1.0], [1.0, 0.0]) == pytest.approx(0.5, abs=1e-12)
+    assert component_r2(column([1.0, 0.0]), line([0.0, 1.0])).tolist() == [0.0]
+    assert component_r2(column([2.0, 0.0]), line([-1.0, 0.0])).tolist() == [1.0]
+    assert component_r2(column([1.0, 1.0]), line([1.0, 0.0])) == pytest.approx([0.5], abs=1e-12)
 
 
 def test_r_squared_rejects_zero_vectors():
-    with pytest.raises(DomainError):
-        r_squared([0.0, 0.0], [1.0, 0.0])
-    with pytest.raises(DomainError):
-        r_squared([1.0, 0.0], [0.0, 0.0])
-    with pytest.raises(DomainError):
-        r_squared([1.0, 0.0], [1.0, 0.0, 0.0])
+    with pytest.raises(DomainError, match="zero vector"):
+        component_r2(column([0.0, 0.0]), line([1.0, 0.0]))
+    with pytest.raises(DomainError, match="zero vector"):
+        component_r2(column([1.0, 0.0]), line([0.0, 0.0]))
+    with pytest.raises(DomainError, match="shape mismatch"):
+        component_r2(column([1.0, 0.0]), line([1.0, 0.0, 0.0]))
 
 
 def test_r_squared_scale_sign_and_symmetry():
@@ -37,10 +53,11 @@ def test_r_squared_scale_sign_and_symmetry():
         u = rng.normal(size=8)
         v = rng.normal(size=8)
         c = rng.uniform(0.1, 10.0) * rng.choice([-1.0, 1.0])
-        base = r_squared(u, v)
-        assert r_squared(v, u) == pytest.approx(base, rel=1e-12)
-        assert r_squared(c * u, v) == pytest.approx(base, rel=1e-12)
-        assert 0.0 <= base <= 1.0
+        base = component_r2(column(u), line(v))
+        assert base == pytest.approx([cos2(u, v)], rel=1e-12)
+        assert component_r2(column(v), line(u)) == pytest.approx(base, rel=1e-12)
+        assert component_r2(column(c * u), line(v)) == pytest.approx(base, rel=1e-12)
+        assert 0.0 <= base[0] <= 1.0
 
 
 def test_estimate_snr_exact_spiked_spectrum():
@@ -157,10 +174,19 @@ def test_component_r2_pairing():
     gt = make_ground_truth(30, [2.0, 1.0], 0.1, seed=13)
     perfect = gt.directions / np.linalg.norm(gt.directions, axis=0)
     assert component_r2(perfect, gt) == pytest.approx([1.0, 1.0], abs=1e-12)
+    # rescaling or flipping a fitted column leaves its alignment unchanged
+    assert component_r2(perfect * [-3.0, 0.25], gt) == pytest.approx([1.0, 1.0], abs=1e-12)
     swapped = perfect[:, ::-1]
     assert component_r2(swapped, gt) == pytest.approx([0.0, 0.0], abs=1e-10)
-    with pytest.raises(DomainError):
+    # each fitted column halfway between the two true lines
+    assert component_r2(perfect + swapped, gt) == pytest.approx([0.5, 0.5], abs=1e-12)
+    with pytest.raises(DomainError, match="shape mismatch"):
         component_r2(perfect[:, :1], gt)
+    with pytest.raises(DomainError, match="shape mismatch"):
+        component_r2(perfect[:, 0], gt)
+    for zero in (perfect * [1.0, 0.0], np.zeros_like(perfect)):
+        with pytest.raises(DomainError, match="zero vector"):
+            component_r2(zero, gt)
 
 
 def test_component_r2_orthogonal_complement_is_zero():
@@ -168,6 +194,11 @@ def test_component_r2_orthogonal_complement_is_zero():
     # two directions orthogonal to both signal columns
     basis = np.linalg.svd(gt.directions, full_matrices=True)[0][:, 2:4]
     assert component_r2(basis, gt) == pytest.approx([0.0, 0.0], abs=1e-12)
+    # truth on the coordinate axes: exactly 0 off them, exactly 1 on them
+    # whatever the scale and sign
+    axes = replace(gt, directions=np.eye(10)[:, :2])
+    assert component_r2(np.eye(10)[:, 2:4], axes).tolist() == [0.0, 0.0]
+    assert component_r2(np.eye(10)[:, :2] * [2.0, -1.0], axes).tolist() == [1.0, 1.0]
 
 
 def test_covariance_eigenvalues_pads_when_short():
@@ -207,8 +238,14 @@ def test_complete_data_spectrum_validation():
 
 def test_top_eigvec_complete_rejects_bad_sizes():
     data = np.random.default_rng(19).normal(size=(6, 4))
-    with pytest.raises(DomainError, match="two samples"):
+    with pytest.raises(DomainError, match=r"min\(N - 1, D\), got k=1, N=1"):
         top_eigvec_complete(data[:1], 1)
+    # centered data of N rows have rank at most N - 1: at k = N the last
+    # column would be an arbitrary eigenvector of a zero eigenvalue
+    wide = np.random.default_rng(20).normal(size=(3, 5))
+    with pytest.raises(DomainError, match=r"got k=3, N=3, D=5"):
+        top_eigvec_complete(wide, 3)
+    assert top_eigvec_complete(wide, 2).shape == (5, 2)
     for k in (0, 5):
         with pytest.raises(DomainError, match="k="):
             top_eigvec_complete(data, k)

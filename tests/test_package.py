@@ -1,12 +1,15 @@
 """The package's export list names only what the package defines, every
 exported name has a caller, the package defines every name the benchmark
-uses, README's commands and config file parse, and its python tour names
-what exists and shows the values the library returns."""
+uses and every flag, field and module it reads, README's commands and
+config file parse, and its python tour names what exists and shows the
+values the library returns."""
 
 import ast
 import dataclasses
+import importlib.util
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -62,6 +65,45 @@ def test_every_name_the_benchmark_uses_exists():
                if not hasattr(sp.cli if name.startswith("cli.") else sp, name.split(".")[-1])]
     assert missing == []
     assert sp.run_missing_rate_sweep is sp.run_snr_sweep is sp.run_sweep
+
+
+def perfbench_module(name):
+    """``perfbench/<name>.py`` imported without writing bytecode beside it."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+def test_what_the_benchmark_reads_exists(tmp_path):
+    # beyond names the benchmark passes CLI flags, reads model, config and
+    # record fields, and wraps the layer modules, so dropping one of those
+    # must fail here and not first in a benchmark run
+    workloads, tracer = perfbench_module("workloads"), perfbench_module("tracer")
+    pipeline = workloads.CsvPipeline()
+    for argv in pipeline._argv(pipeline.make_inputs(0), str(tmp_path)):
+        _build_parser().parse_args(argv)
+    gt = sp.make_ground_truth(8, [1.0], 0.05, seed=1)
+    data = sp.MaskedMatrix.complete(sp.sample_dataset(gt, 20, seed=2))
+    model = sp.fit_ppca(data, sp.FitOptions(k=1))
+    assert model.n_iterations > 0 and model.converged
+    assert sp.FitOptions(k=1).k == 1
+    cfg = sp.ExperimentConfig(sweep_kind="missing_rate", grid=(0.0,), n=20, d=8, norms=(1.0,),
+                              noise_variance=0.05, repetitions=1, base_seed=1,
+                              fit=sp.FitOptions(k=1))
+    result = sp.run_sweep(cfg)
+    (record,) = result
+    assert isinstance(record, sp.CurveRecord) and result.failures == ()
+    # workloads.py reads these fields by name and builds pooled records by position
+    assert [f.name for f in dataclasses.fields(sp.CurveRecord)] == [
+        "sweep_value", "component", "r2_mean", "r2_std", "n_reps", "theory_r2", "theory_alt_r2"
+    ]
+    assert [layer for layer in tracer.LAYERS if not hasattr(sp, layer)] == []
 
 
 def readme_blocks(language):

@@ -7,8 +7,11 @@ from spiked_pca import (
     make_ground_truth,
     sample_dataset,
 )
-from spiked_pca.metrics import r_squared
 from spiked_pca.synthetic import GroundTruth
+
+
+def cos2(a, b):
+    return float(a @ b) ** 2 / float((a @ a) * (b @ b))
 
 
 def test_requested_snrs_from_norms_and_noise():
@@ -84,7 +87,7 @@ def test_noiseless_rows_lie_on_the_signal_line():
     data = sample_dataset(gt, 50, seed=6)
     for row in data:
         if np.linalg.norm(row) > 0:
-            assert r_squared(row, gt.directions[:, 0]) >= 1.0 - 1e-12
+            assert cos2(row, gt.directions[:, 0]) >= 1.0 - 1e-12
 
 
 def test_top_eigenvalue_matches_population_covariance():
