@@ -38,7 +38,7 @@ write_masked_csv(masked, "demo_masked.csv")
 print("wrote demo_masked.csv (missing entries are empty cells)")
 
 back = read_masked_csv("demo_masked.csv")
-print(f"read back: {back.n_rows} x {back.n_cols}, "
+print(f"read back: {back.values.shape[0]} x {back.values.shape[1]}, "
       f"{(~back.mask).sum()} missing entries, masks match = "
       f"{np.array_equal(back.mask, masked.mask)}")
 

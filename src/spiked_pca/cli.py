@@ -5,6 +5,8 @@ All error messages go to standard error.
 """
 
 import argparse
+import errno
+import os
 import sys
 
 from .errors import DomainError, FormatError, NumericalError, check_integer, check_rate
@@ -71,7 +73,7 @@ def _cmd_fit(args):
     model = fit_ppca(x, FitOptions(k=args.k, seed=args.seed))
     write_model_csv(model, args.out)
     _print_kv("sigma2", model.noise_variance)
-    _print_kv("log_likelihood", model.log_likelihood)
+    _print_kv("log_likelihood", model.loglik_history[-1])
     _print_kv("n_iterations", model.n_iterations)
     _print_kv("converged", int(model.converged))
     print(f"wrote model to {args.out}")
@@ -90,10 +92,17 @@ def _cmd_snr(args):
 def _cmd_experiment(args):
     cfg = read_experiment_config(args.config)
     min_m = args.compare_hypotheses  # None without the flag
-    if min_m is not None:  # checked before the sweep, so a bad value costs no fit
+    # MIN_M and the --out directory are checked before the sweep, so a bad one costs no fit
+    if min_m is not None:
         check_rate("min_m", min_m, closed=False)
         if min_m and cfg.sweep_kind != "missing_rate":
             raise DomainError("min_m is only for the missing_rate sweep")
+        if min_m > cfg.grid[-1]:  # the grid is strictly ascending
+            top = format(cfg.grid[-1], REAL_FORMAT)
+            raise DomainError(f"min_m must not exceed the largest grid value {top}, got {min_m}")
+    out_dir = os.path.dirname(args.out) or os.curdir
+    if not os.path.isdir(out_dir):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out_dir)
     result = run_sweep(cfg)
     for cell in result.failures:
         print(

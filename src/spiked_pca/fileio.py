@@ -76,7 +76,7 @@ def write_masked_csv(x, path):
     """
     # one format call per row: unobserved cells print as nan, which no
     # finite or infinite value contains, and are then blanked
-    row_format = ",".join(["%" + REAL_FORMAT] * x.n_cols) + "\n"
+    row_format = ",".join(["%" + REAL_FORMAT] * x.values.shape[1]) + "\n"
     with open(path, "w", newline="\n") as handle:
         for row_values, row_mask in zip(x.values, x.mask):
             cells = tuple(np.where(row_mask, row_values, np.nan).tolist())
@@ -120,7 +120,7 @@ def write_model_csv(model, path):
     head = (
         "# ppca-model"
         f" sigma2={float(model.noise_variance):{REAL_FORMAT}}"
-        f" log_likelihood={float(model.log_likelihood):{REAL_FORMAT}}"
+        f" log_likelihood={float(model.loglik_history[-1]):{REAL_FORMAT}}"
         f" n_iterations={model.n_iterations}"
         f" converged={int(model.converged)}"
         f" k={model.loadings.shape[1]}"

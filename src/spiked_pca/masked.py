@@ -26,7 +26,8 @@ def _read_only(a, dtype):
 class MaskedMatrix:
     """An N x D real matrix together with a boolean observation mask.
 
-    ``mask[n, d]`` is True where the entry is observed. Entries of
+    ``values.shape`` is the matrix's shape (N, D), and ``mask`` has the
+    same. ``mask[n, d]`` is True where the entry is observed. Entries of
     ``values`` at unobserved positions are undefined, and no operation in
     this package reads them from its input. Both arrays are read-only. A
     writeable array is copied; one already read-only is kept without a
@@ -49,14 +50,6 @@ class MaskedMatrix:
             raise DomainError("matrix must have at least one row and one column")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "mask", mask)
-
-    @property
-    def n_rows(self):
-        return self.values.shape[0]
-
-    @property
-    def n_cols(self):
-        return self.values.shape[1]
 
     @classmethod
     def complete(cls, data):

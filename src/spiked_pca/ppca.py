@@ -50,21 +50,17 @@ class PpcaModel:
 
     ``loglik_history`` holds the observed-data log-likelihood of the
     spectral start and of the point each accelerated cycle accepted, so it
-    is nondecreasing; ``log_likelihood`` is its last entry and belongs to
-    the returned parameters. ``n_iterations`` counts applications of the
-    EM map (M-steps), two per cycle, so it is even and never exceeds
-    ``max_iterations``. ``n_skipped_rows`` counts samples with no observed
-    entries, which carry no information and are ignored by the updates.
+    is nondecreasing; its last entry belongs to the returned parameters.
+    ``n_iterations`` counts applications of the EM map (M-steps), two per
+    cycle, so it is even and never exceeds ``max_iterations``.
     """
 
     mean: np.ndarray
     loadings: np.ndarray
     noise_variance: float
-    log_likelihood: float
     n_iterations: int
     converged: bool
     loglik_history: np.ndarray
-    n_skipped_rows: int
 
 
 class _Point(NamedTuple):
@@ -105,7 +101,11 @@ def _spd_inverse(G, step, iteration):
 
 
 class _ObservedEm:
-    """The EM map of observed-entry PPCA on one masked matrix, centered and scaled to unit RMS."""
+    """The EM map of observed-entry PPCA on one masked matrix, centered and scaled to unit RMS.
+
+    ``rows`` counts the samples that observe any entry; the others carry
+    no information and add nothing to the updates.
+    """
 
     def __init__(self, x):
         self.Y, self.mean = center_observed(x)  # rejects fully missing columns
@@ -115,7 +115,7 @@ class _ObservedEm:
             raise DomainError("the observed entries do not vary about their column means")
         self.Y /= top
         obs_per_row = x.mask.sum(axis=1)
-        self.n_skipped = int(np.count_nonzero(obs_per_row == 0))
+        self.rows = int(np.count_nonzero(obs_per_row))
         self.total_obs = float(obs_per_row.sum())
         self.yy_col = np.einsum("nd,nd->d", self.Y, self.Y)
         mean_square = float(self.yy_col.sum()) / self.total_obs
@@ -130,19 +130,17 @@ class _ObservedEm:
 
         The start is the PPCA maximum-likelihood point of the debiased
         zero-filled covariance C (Lounici 2014): the off-diagonals of
-        Y^T Y / n_eff divided by p^2 and its diagonal by p, where n_eff
-        counts the rows that observe anything and p is their observed
-        fraction. Block subspace iteration (Halko, Martinsson & Tropp
-        2011) from a Gaussian block drawn with ``seed`` finds C's top-k
-        eigenpairs (V, lambda) without forming C. The noise starts at the
-        mean of the trailing eigenvalues, sigma2 = (tr C - sum lambda) /
-        (D - k), and the loadings at V sqrt(lambda - sigma2), floored at
-        SPECTRAL_FLOOR * sigma2 so that a component below the threshold
-        does not start at A = 0, a fixed point of EM.
+        Y^T Y / rows divided by p^2 and its diagonal by p, where p is the
+        observed fraction of those rows. Block subspace iteration (Halko,
+        Martinsson & Tropp 2011) from a Gaussian block drawn with ``seed``
+        finds C's top-k eigenpairs (V, lambda) without forming C. The noise
+        starts at the mean of the trailing eigenvalues, sigma2 = (tr C -
+        sum lambda) / (D - k), and the loadings at V sqrt(lambda - sigma2),
+        floored at SPECTRAL_FLOOR * sigma2 so that a component below the
+        threshold does not start at A = 0, a fixed point of EM.
         """
-        n_eff = self.n - self.n_skipped
-        p = self.total_obs / (n_eff * self.d)
-        scale = 1.0 / (n_eff * p * p)
+        p = self.total_obs / (self.rows * self.d)
+        scale = 1.0 / (self.rows * p * p)
         Q = np.random.default_rng(seed).standard_normal((self.d, k + SPECTRAL_OVERSAMPLE))
         shrink = ((1.0 - p) * self.yy_col)[:, None]
 
@@ -156,7 +154,7 @@ class _ObservedEm:
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"spectral start failed: {exc}") from exc
         lam, V = lam[::-1][:k], Q @ U[:, ::-1][:, :k]
-        trace = self.sum_yy / (n_eff * p)
+        trace = self.sum_yy / (self.rows * p)
         sigma2 = max((trace - float(lam.sum())) / (self.d - k), SIGMA2_FLOOR)
         A = V * np.sqrt(np.maximum(lam - sigma2, SPECTRAL_FLOOR * sigma2))
         return self.estep(A, sigma2, 0)
@@ -254,18 +252,18 @@ def fit_ppca(x, opts):
         ``opts.rel_tolerance`` for ``TOLERANCE_STREAK`` (three) consecutive
         cycles, or when a whole cycle no longer fits in
         ``opts.max_iterations`` EM steps (a limit of 1 returns the start).
-        EM runs at unit RMS; a model no double holds in the data's units raises NumericalError.
+        EM runs at unit RMS; where, in the data's units, sigma2 is not a
+        normal double or a loading is not finite, it raises NumericalError.
     """
     k = opts.k
-    if k >= x.n_cols:
-        raise DomainError(f"need k < D, got k={k}, D={x.n_cols}")
+    if k >= x.mask.shape[1]:
+        raise DomainError(f"need k < D, got k={k}, D={x.mask.shape[1]}")
 
     # the one numerical boundary: overflow and NaN surface only as values the checks reject
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         em = _ObservedEm(x)
-        rows = em.n - em.n_skipped  # centered, they span at most rows - 1 dimensions
-        if k >= rows:
-            raise DomainError(f"need k < the rows observing any entry, got k={k}, rows={rows}")
+        if k >= em.rows:  # centered, they span at most rows - 1 dimensions
+            raise DomainError(f"need k < the rows observing any entry, got k={k}, rows={em.rows}")
         p = em.start(k, opts.seed)
         history = [p.ll]
         n_iter = 0
@@ -286,18 +284,16 @@ def fit_ppca(x, opts):
 
         s = em.scale  # back to the data's units; s * s, since s ** 2 raises on overflow
         loadings, sigma2 = p.A * s, p.sigma2 * s * s
-        if not (0.0 < sigma2 < math.inf and np.isfinite(loadings).all()):
+        if not (np.finfo(float).tiny <= sigma2 < math.inf and np.isfinite(loadings).all()):
             raise NumericalError("the fit is out of range in the data's units")
     shift = em.total_obs * math.log(s)
     return PpcaModel(
         mean=em.mean,
         loadings=loadings,
         noise_variance=sigma2,
-        log_likelihood=p.ll - shift,
         n_iterations=n_iter,
         converged=streak >= TOLERANCE_STREAK,
         loglik_history=np.asarray(history) - shift,
-        n_skipped_rows=em.n_skipped,
     )
 
 

@@ -120,8 +120,9 @@ def test_usage_error_exit_code(capsys):
         # fit's unit-RMS units: an error, not a warning
         (["fit", "--k", "1", "--in", "huge.csv", "--out", "model.csv"], 2, 0,
          "error: the fit is out of range in the data's units\n"),
-        # entries near 1e-155, whose squares are subnormal, fit like any other
-        (["fit", "--k", "1", "--in", "tiny.csv", "--out", "model.csv"], 0, 5, ""),
+        # entries near 1e-155: sigma2 scaled back is subnormal, out of range too
+        (["fit", "--k", "1", "--in", "tiny.csv", "--out", "model.csv"], 2, 0,
+         "error: the fit is out of range in the data's units\n"),
     ],
     ids=["ok", "domain", "usage", "numerical", "numerical-tiny"],
 )
@@ -209,6 +210,8 @@ def test_mask_then_fit_pipeline(tmp_path, capsys):
     assert kv["converged"] == "1"
     lines = (tmp_path / "model.csv").read_text().splitlines()
     assert lines[0].startswith("# ppca-model")
+    # both outputs print the one log-likelihood the model holds
+    assert f" log_likelihood={kv['log_likelihood']} " in lines[0]
     assert len(lines) == 41  # metadata plus one row per feature
 
     model_path2 = str(tmp_path / "model2.csv")
@@ -575,6 +578,29 @@ def test_experiment_rejects_min_m_before_any_fit(tmp_path, monkeypatch, capsys):
                      "--compare-hypotheses", "1.0"])
     assert code == 1
     assert "min_m must lie in [0, 1), got 1.0" in capsys.readouterr().err
+    assert fits == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "out, flags, error",
+    [
+        # no grid value lies at or above MIN_M, so no record could be scored
+        ("c.csv", ["--compare-hypotheses", "0.5"],
+         "min_m must not exceed the largest grid value 0.2, got 0.5"),
+        ("no_such_dir/c.csv", [], "[Errno 2] No such file or directory: '{tmp}/no_such_dir'"),
+    ],
+    ids=["min_m-above-grid", "out-in-missing-dir"],
+)
+def test_experiment_rejects_what_the_sweep_cannot_finish_before_any_fit(
+    tmp_path, monkeypatch, capsys, out, flags, error
+):
+    fits = count_fits(monkeypatch)
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(EXPERIMENT_CONFIG.replace("grid = 0.0, 0.4, 0.8", "grid = 0.0, 0.2"))
+    out = tmp_path / out
+    assert cli_main(["experiment", "--config", str(cfg), "--out", str(out), *flags]) == 1
+    assert capsys.readouterr().err == f"error: {error.format(tmp=tmp_path)}\n"
     assert fits == []
     assert not out.exists()
 

@@ -31,7 +31,7 @@ def test_read_empty_cell_is_missing(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text("1.0,,3.0\n")
     x = read_masked_csv(str(p))
-    assert x.n_rows == 1 and x.n_cols == 3
+    assert x.values.shape == (1, 3)
     assert list(x.mask[0]) == [True, False, True]
     assert x.values[0, 0] == 1.0 and x.values[0, 2] == 3.0
 
@@ -53,7 +53,7 @@ def test_read_blank_cell_is_missing(tmp_path, line, observed, newline):
     p = tmp_path / "m.csv"
     p.write_text(line + newline + "4.0,5.0,6.0" + newline, newline="")
     x = read_masked_csv(str(p))
-    assert x.n_rows == 2 and x.n_cols == 3
+    assert x.values.shape == (2, 3)
     assert list(x.mask[0]) == observed and x.mask[1].all()
     assert np.array_equal(x.values[0][observed], [1.0, 3.0][: sum(observed)])
 
@@ -63,7 +63,7 @@ def test_read_one_column_blank_lines_are_missing(tmp_path, newline):
     p = tmp_path / "m.csv"
     p.write_text(newline.join(["", "1.5", " ", "", "-2", "\t", ""]), newline="")
     x = read_masked_csv(str(p))
-    assert x.n_cols == 1
+    assert x.values.shape == (6, 1)
     assert list(x.mask[:, 0]) == [False, True, False, False, True, False]
     assert x.values[1, 0] == 1.5 and x.values[4, 0] == -2.0
 
@@ -353,7 +353,7 @@ def test_curve_csv_matches_per_value_reference(tmp_path):
 def test_model_csv_matches_per_value_reference(tmp_path, k):
     mean = special_matrix((7,), seed=k)
     loadings = special_matrix((7, k), seed=10 + k)
-    model = PpcaModel(mean, loadings, 0.1234565, -1e300, 123, False, np.zeros(1), 0)
+    model = PpcaModel(mean, loadings, 0.1234565, 123, False, np.array([0.0, -1e300]))
     p = tmp_path / "model.csv"
     write_model_csv(model, str(p))
     expected = (

@@ -118,7 +118,7 @@ def test_fit_deterministic():
     b = fit_ppca(x, FitOptions(k=1, seed=7))
     assert np.array_equal(a.loadings, b.loadings)
     assert a.noise_variance == b.noise_variance
-    assert a.log_likelihood == b.log_likelihood
+    assert a.loglik_history[-1] == b.loglik_history[-1]
     assert a.n_iterations == b.n_iterations
 
 
@@ -156,12 +156,13 @@ def probe_fit(c):
     return gt, model
 
 
-@pytest.mark.parametrize("c", [1e-155, 1e-8, 1.0314, 10.0, 1e100, 1e150, 1e153])
+@pytest.mark.parametrize("c", [1e-153, 1e-8, 1.0314, 10.0, 1e100, 1e150, 1e153])
 def test_fit_does_not_depend_on_units(c):
     # EM runs on the data divided by their scale, so every c takes the same
-    # steps: at 1e-155 the squares of the entries are subnormal, at 1.0314
-    # the log-likelihood crosses 0, at 1e100 sigma2 is ~5e198, whose square
-    # overflows, and at 1e153 so does the sum of the entries' squares
+    # steps: at 1e-153 44% of the observed squares are subnormal while sigma2,
+    # ~5e-308, is still a normal double; at 1.0314 the log-likelihood crosses
+    # 0, at 1e100 sigma2 is ~5e198, whose square overflows, and at 1e153 so
+    # does the sum of the entries' squares
     gt, model = probe_fit(1.0)
     _, scaled = probe_fit(c)
     assert scaled.n_iterations == model.n_iterations
@@ -186,10 +187,11 @@ def test_fit_never_warns_whatever_the_units(c, m, k):
     assert np.isfinite(model.loadings).all()
 
 
-@pytest.mark.parametrize("c", [1e-170, 1e160])
+@pytest.mark.parametrize("c", [1e-170, 1e-154, 1e160])
 def test_fit_out_of_range_in_the_data_units_raises(c):
     # the fit itself runs in unit-RMS units; at 1e-170 sigma2 underflows to
-    # 0 when scaled back, and at 1e160 it overflows
+    # 0 when scaled back, at 1e-154 to a subnormal ~5e-310, and at 1e160 it
+    # overflows
     with pytest.raises(NumericalError, match="^the fit is out of range in the data's units$"):
         probe_fit(c)
 
@@ -223,11 +225,14 @@ def test_fully_missing_rows_are_skipped_and_counted():
     mask[[4, 17]] = False
     x = MaskedMatrix(data, mask)
     model = fit_ppca(x, FitOptions(k=1, seed=4))
-    assert model.n_skipped_rows == 2
-    # dropping those rows outright gives the same fit
+    # dropping those rows outright gives the same fit, step for step
     kept = np.ones(80, dtype=bool)
     kept[[4, 17]] = False
     model_dropped = fit_ppca(MaskedMatrix(data[kept], mask[kept]), FitOptions(k=1, seed=4))
+    assert model.n_iterations == model_dropped.n_iterations
+    np.testing.assert_allclose(model.loglik_history, model_dropped.loglik_history,
+                               rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(model.loadings, model_dropped.loadings, rtol=1e-12, atol=0.0)
     assert model.noise_variance == pytest.approx(model_dropped.noise_variance, rel=1e-9)
     assert cos2(
         extract_directions(model)[:, 0], extract_directions(model_dropped)[:, 0]
@@ -321,7 +326,7 @@ def test_fit_matches_per_row_reference_em(k):
     em, path = em_path(x, k, seed=92, steps=4)
     unit = MaskedMatrix(x.values / em.scale, x.mask)
     A, sigma2, history = reference_em(unit, path[0][:2], iterations=4)
-    assert em.n_skipped == 1
+    assert em.rows == em.n - 1  # the fully missing row is not counted
     np.testing.assert_allclose(path[-1].A, A, rtol=1e-10)
     assert path[-1].sigma2 == pytest.approx(sigma2, rel=1e-10)
     np.testing.assert_allclose([p.ll for p in path], history, rtol=1e-10)
@@ -337,12 +342,12 @@ def test_fit_reaches_reference_em_fixed_point(k):
     A, sigma2, history = reference_em(x, (p0.A * s, p0.sigma2 * s * s), iterations=100)
     opts = FitOptions(k=k, seed=92, rel_tolerance=1e-12, max_iterations=10_000)
     model = fit_ppca(x, opts)
-    assert model.converged and model.n_skipped_rows == 1
+    assert model.converged
     assert model.noise_variance == pytest.approx(sigma2, rel=1e-6)
     oracle = np.linalg.svd(A, full_matrices=False)[0]
     assert subspace_r2(extract_directions(model), oracle) >= 1.0 - 1e-8
     # not below the reference, up to rounding of the log-likelihood sum
-    assert model.log_likelihood >= history[-1] - 1e-12 * abs(history[-1])
+    assert model.loglik_history[-1] >= history[-1] - 1e-12 * abs(history[-1])
 
 
 def test_rejected_extrapolation_keeps_plain_em_point(monkeypatch):
@@ -434,7 +439,7 @@ def test_accepted_cycle_runs_two_esteps(monkeypatch):
     model = fit_ppca(x, FitOptions(k=2, seed=92, max_iterations=2))
     assert calls == [0, 1, 2]  # the start, the first EM step, the extrapolated point
     assert model.n_iterations == 2
-    assert model.log_likelihood >= p1.ll - shift
+    assert model.loglik_history[-1] >= p1.ll - shift
     assert not np.array_equal(model.loadings, p2.A * s)
 
 
@@ -472,8 +477,8 @@ def test_spectral_start_not_below_random_start_on_low_snr_line(monkeypatch):
         x = apply_mcar_mask(data, 0.95, seed=121 + rep)
         with monkeypatch.context() as patch:
             patch.setattr(_ObservedEm, "start", random_start)
-            baseline = fit_ppca(x, opts).log_likelihood
-        gains.append(fit_ppca(x, opts).log_likelihood - baseline)
+            baseline = fit_ppca(x, opts).loglik_history[-1]
+        gains.append(fit_ppca(x, opts).loglik_history[-1] - baseline)
     assert min(gains) >= -10.0
     assert sum(gains) > 0.0
 
@@ -488,7 +493,6 @@ def test_capped_fit_reports_unconverged(max_iterations):
     assert not model.converged
     # one history entry for the start and one per cycle
     assert model.loglik_history.size == 1 + model.n_iterations // 2
-    assert model.log_likelihood == model.loglik_history[-1]
 
 
 # the start's E-step makes the first inversion, the first M-step the second
