@@ -21,7 +21,7 @@ from .fileio import (
     write_masked_csv,
     write_model_csv,
 )
-from .masked import MaskedMatrix, apply_mcar_mask
+from .masked import apply_mcar_mask
 from .metrics import covariance_eigenvalues, estimate_snr
 from .ppca import FitOptions, fit_ppca
 from .theory import (
@@ -38,6 +38,15 @@ def _print_kv(key, value):
     print(f"{key} = {value}")
 
 
+def _check_out_path(path):
+    """Raise, before the work, what ``open(path, "w")`` would raise after it."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    parent = (os.path.dirname(path) or os.curdir) if path else path  # "" names no file
+    if not os.path.isdir(parent):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), parent)
+
+
 def _cmd_theory(args):
     # the first call checks all three arguments, so a rejected one prints nothing
     alpha, snr, m = args.alpha, args.snr, args.missing
@@ -49,11 +58,13 @@ def _cmd_theory(args):
 
 
 def _cmd_generate(args):
+    truth_path = args.out + ".truth.csv"
+    _check_out_path(args.out)
+    _check_out_path(truth_path)
     check_integer("seed", args.seed, 0)
     # what repetition 0 of a sweep with base_seed = --seed fits
     gt, data = draw_dataset(args.n, args.d, args.norms, args.noise_var, args.seed, 0)
-    write_masked_csv(MaskedMatrix.complete(data), args.out)
-    truth_path = args.out + ".truth.csv"
+    write_masked_csv(data, args.out)
     write_ground_truth_csv(gt, truth_path, args.seed)
     print(f"wrote {args.n}x{args.d} matrix to {args.out}")
     print(f"wrote ground truth to {truth_path}")
@@ -61,16 +72,16 @@ def _cmd_generate(args):
 
 
 def _cmd_mask(args):
+    _check_out_path(args.out)
     x = read_masked_csv(args.infile)
-    masked = apply_mcar_mask(x, args.rate, args.seed)
-    write_masked_csv(masked, args.out)
+    write_masked_csv(apply_mcar_mask(x, args.rate, args.seed), args.out)
     print(f"wrote masked matrix to {args.out}")
     return 0
 
 
 def _cmd_fit(args):
-    x = read_masked_csv(args.infile)
-    model = fit_ppca(x, FitOptions(k=args.k, seed=args.seed))
+    _check_out_path(args.out)
+    model = fit_ppca(read_masked_csv(args.infile), FitOptions(k=args.k, seed=args.seed))
     write_model_csv(model, args.out)
     _print_kv("sigma2", model.noise_variance)
     _print_kv("log_likelihood", model.loglik_history[-1])
@@ -81,8 +92,7 @@ def _cmd_fit(args):
 
 
 def _cmd_snr(args):
-    x = read_masked_csv(args.infile)
-    estimate = estimate_snr(covariance_eigenvalues(x), args.k)
+    estimate = estimate_snr(covariance_eigenvalues(read_masked_csv(args.infile)), args.k)
     _print_kv("noise_variance_hat", estimate.noise_variance_hat)
     for i, s in enumerate(estimate.snr_per_component, start=1):
         _print_kv(f"S_{i}", float(s))
@@ -90,9 +100,10 @@ def _cmd_snr(args):
 
 
 def _cmd_experiment(args):
+    _check_out_path(args.out)
     cfg = read_experiment_config(args.config)
     min_m = args.compare_hypotheses  # None without the flag
-    # MIN_M and the --out directory are checked before the sweep, so a bad one costs no fit
+    # MIN_M is checked before the sweep, so a bad one costs no fit
     if min_m is not None:
         check_rate("min_m", min_m, closed=False)
         if min_m and cfg.sweep_kind != "missing_rate":
@@ -100,23 +111,16 @@ def _cmd_experiment(args):
         if min_m > cfg.grid[-1]:  # the grid is strictly ascending
             top = format(cfg.grid[-1], REAL_FORMAT)
             raise DomainError(f"min_m must not exceed the largest grid value {top}, got {min_m}")
-    out_dir = os.path.dirname(args.out) or os.curdir
-    if not os.path.isdir(out_dir):
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out_dir)
     result = run_sweep(cfg)
     for cell in result.failures:
-        print(
-            f"failed cell: repetition {cell.repetition}, "
-            f"grid value {format(cfg.grid[cell.cell_index], REAL_FORMAT)}: {cell.error}",
-            file=sys.stderr,
-        )
+        value = format(cfg.grid[cell.cell_index], REAL_FORMAT)
+        print(f"failed cell: repetition {cell.repetition}, grid value {value}: {cell.error}",
+              file=sys.stderr)
     summary = None
     if min_m is not None:
         rmse_snr, rmse_sample = compare_hypotheses(result, min_m)
-        summary = (
-            f"rmse_snr_hypothesis={format(rmse_snr, REAL_FORMAT)} "
-            f"rmse_sample_hypothesis={format(rmse_sample, REAL_FORMAT)}"
-        )
+        summary = (f"rmse_snr_hypothesis={format(rmse_snr, REAL_FORMAT)} "
+                   f"rmse_sample_hypothesis={format(rmse_sample, REAL_FORMAT)}")
     write_curve_csv(result, args.out, summary=summary)
     print(f"wrote {len(result)} records to {args.out}")
     if summary:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, SpikedPcaError, check_integer, check_nonnegative, check_rate
-from .masked import apply_mcar_mask
+from .masked import MaskedMatrix, apply_mcar_mask
 from .metrics import add_isotropic_noise, component_r2
 from .ppca import FitOptions, extract_directions, fit_ppca
 from .synthetic import _check_spikes, make_ground_truth, sample_dataset
@@ -54,7 +54,7 @@ def derive_cell_seed(base_seed, repetition, cell_index, stream):
 
 def draw_dataset(n, d, norms, noise_variance, base_seed, repetition):
     """The ground truth of a sweep with ``base_seed`` and the ``n`` samples
-    of its repetition ``repetition``, as ``(gt, data)``.
+    of its repetition ``repetition``, as ``(gt, data)``, ``data`` fully observed.
 
     Every repetition shares the ground truth. It and the samples come from
     separate derived seeds, so the samples do not replay the draws of the
@@ -63,7 +63,9 @@ def draw_dataset(n, d, norms, noise_variance, base_seed, repetition):
     seed = derive_cell_seed(base_seed, 0, 0, STREAM_GROUND_TRUTH)
     gt = make_ground_truth(d, norms, noise_variance, seed)
     seed = derive_cell_seed(base_seed, repetition, 0, STREAM_DATASET)
-    return gt, sample_dataset(gt, n, seed)
+    data = sample_dataset(gt, n, seed)
+    data.flags.writeable = False  # fresh, so MaskedMatrix need not copy it
+    return gt, MaskedMatrix.complete(data)
 
 
 @dataclass(frozen=True)
@@ -189,15 +191,16 @@ def run_sweep(cfg):
     names and fold the alignments into records.
 
     Every repetition shares the ground truth, and so the points the kind's
-    cell rule gives. In grid order, a cell keeps the previous cell's mask
-    where its rate m is the same, else draws one seeded (repetition, cell,
-    STREAM_MASK), so one mask is live at a time; it adds noise seeded
-    (repetition, cell, STREAM_NOISE) only where its rule gives a variance.
-    Every fit becomes one CellResult; a fit that raises or stops at
-    ``max_iterations`` keeps a message and no R^2, and is not retried, so
-    the aggregates stay unbiased. Each grid cell with a surviving fit is
-    summarized by the sample mean and, for two or more, the sample
-    standard deviation; both theory columns follow from its m and S.
+    cell rule gives; a repetition's masks share its one read-only sample. In
+    grid order, a cell keeps the previous cell's mask where its rate m is the
+    same, else draws one seeded (repetition, cell, STREAM_MASK), so one mask
+    is live at a time; it adds noise seeded (repetition, cell, STREAM_NOISE)
+    only where its rule gives a variance. Every fit becomes one CellResult; a
+    fit that raises or stops at ``max_iterations`` keeps a message and no
+    R^2, and is not retried, so the aggregates stay unbiased. Each grid cell
+    with a surviving fit is summarized by the sample mean and, for two or
+    more, the sample standard deviation; both theory columns follow from its
+    m and S.
     """
     _, rule = SWEEP_KINDS[cfg.sweep_kind]
     alpha = cfg.n / cfg.d

@@ -53,36 +53,32 @@ class MaskedMatrix:
 
     @classmethod
     def complete(cls, data):
-        """Wrap a fully observed matrix."""
-        data = np.asarray(data, dtype=float)
-        return cls(data, np.ones(data.shape, dtype=bool))
+        """Wrap a fully observed matrix; its mask is a read-only broadcast of one True."""
+        return cls(np.asarray(data, dtype=float), np.broadcast_to(True, np.shape(data)))
 
 
-def complete_values(x):
-    """The finite 2-d float values of an array or fully observed MaskedMatrix.
+def complete_matrix(x):
+    """``x``, an array or a MaskedMatrix, as a fully observed MaskedMatrix.
 
-    Anything else raises DomainError. Copies only to convert to float.
+    An array is wrapped by :meth:`MaskedMatrix.complete`; a MaskedMatrix is
+    returned as it is. A missing or non-finite entry raises DomainError.
     """
-    if isinstance(x, MaskedMatrix):
-        if not x.mask.all():
-            raise DomainError("input has missing entries; complete data is required")
-        x = x.values
-    values = np.asarray(x, dtype=float)
-    if values.ndim != 2:
-        raise DomainError(f"expected a 2-d matrix, got ndim={values.ndim}")
-    if not np.isfinite(values).all():
+    x = x if isinstance(x, MaskedMatrix) else MaskedMatrix.complete(x)
+    if not x.mask.all():
+        raise DomainError("input has missing entries; complete data is required")
+    if not np.isfinite(x.values).all():
         raise DomainError("input matrix must be finite")
-    return values
+    return x
 
 
 def apply_mcar_mask(data, m, seed):
     """Hide each entry independently with probability ``m``.
 
     The mask is a pure function of (data shape, m, seed): the same inputs
-    always produce a bit-identical mask. Observed entries keep their
-    original values.
+    always produce a bit-identical mask. ``data`` is anything
+    :func:`complete_matrix` accepts, whose read-only values the result shares.
     """
-    data = complete_values(data)
+    data = complete_matrix(data).values
     m = check_rate("missing rate", m)
     check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)

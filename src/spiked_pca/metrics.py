@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError, check_integer, check_nonnegative
-from .masked import MaskedMatrix, center_observed, complete_values
+from .masked import MaskedMatrix, center_observed, complete_matrix
 from .ppca import SIGMA2_FLOOR
 
 
@@ -45,43 +45,39 @@ def component_r2(fitted, truth):
     return np.minimum(c * c, 1.0)
 
 
-def _centered_svd(values, compute_uv):
-    """Thin SVD of the column-centered data; NumericalError if it overflows."""
-    centered, _ = center_observed(MaskedMatrix.complete(values))
-    return np.linalg.svd(centered, full_matrices=False, compute_uv=compute_uv)
-
-
 def covariance_eigenvalues(x):
     """All D eigenvalues, descending, of the empirical covariance.
 
-    The covariance is (1/N) X_c^T X_c with X_c the column-centered data;
-    when N < D the spectrum is padded with exact zeros.
+    ``x`` is anything :func:`complete_matrix` accepts. The covariance is
+    (1/N) X_c^T X_c with X_c the column-centered data; when N < D the
+    spectrum is padded with exact zeros.
     """
-    values = complete_values(x)
-    n, d = values.shape
-    lam = np.zeros(d)
-    s = _centered_svd(values, compute_uv=False)
+    centered, _ = center_observed(complete_matrix(x))
+    lam = np.zeros(centered.shape[1])
+    s = np.linalg.svd(centered, compute_uv=False)
     with np.errstate(over="ignore"):
-        lam[: s.size] = s ** 2 / n
+        lam[: s.size] = s ** 2 / len(centered)
     if not np.isfinite(lam).all():
         raise NumericalError("covariance eigenvalues not finite: the data overflow")
     return lam
 
 
 def top_eigvec_complete(x, k):
-    """Top-k eigenvectors of the empirical covariance of complete data.
+    """Top-k eigenvectors of the empirical covariance of ``x``, anything
+    :func:`complete_matrix` accepts.
 
     Columns are eigenvectors of (1/N) sum_n x_n x_n^T after centering,
     in descending eigenvalue order. This is the spectral reference the
     EM fit must agree with when nothing is missing. Centered data of N
     rows have rank at most N - 1, so k must lie in [1, min(N - 1, D)].
     """
-    values = complete_values(x)
-    n, d = values.shape
+    x = complete_matrix(x)
+    n, d = x.values.shape
     check_integer("k", k, -math.inf)  # type only: the range check below names the bounds
     if not 1 <= k <= min(n - 1, d):
         raise DomainError(f"need 1 <= k <= min(N - 1, D), got k={k}, N={n}, D={d}")
-    _, _, vt = _centered_svd(values, compute_uv=True)
+    centered, _ = center_observed(x)
+    _, _, vt = np.linalg.svd(centered, full_matrices=False)
     return vt[:k].T
 
 

@@ -586,23 +586,78 @@ def test_experiment_rejects_min_m_before_any_fit(tmp_path, monkeypatch, capsys):
     "out, flags, error",
     [
         # no grid value lies at or above MIN_M, so no record could be scored
-        ("c.csv", ["--compare-hypotheses", "0.5"],
+        ("{tmp}/c.csv", ["--compare-hypotheses", "0.5"],
          "min_m must not exceed the largest grid value 0.2, got 0.5"),
-        ("no_such_dir/c.csv", [], "[Errno 2] No such file or directory: '{tmp}/no_such_dir'"),
+        ("{tmp}/no_such_dir/c.csv", [], "[Errno 2] No such file or directory: '{tmp}/no_such_dir'"),
+        ("", [], "[Errno 2] No such file or directory: ''"),
+        ("{tmp}/outdir", [], "[Errno 21] Is a directory: '{tmp}/outdir'"),
+        ("{tmp}/outdir/", [], "[Errno 21] Is a directory: '{tmp}/outdir/'"),
     ],
-    ids=["min_m-above-grid", "out-in-missing-dir"],
+    ids=["min_m-above-grid", "out-in-missing-dir", "out-empty", "out-is-dir", "out-is-dir-slash"],
 )
 def test_experiment_rejects_what_the_sweep_cannot_finish_before_any_fit(
     tmp_path, monkeypatch, capsys, out, flags, error
 ):
+    monkeypatch.chdir(tmp_path)
     fits = count_fits(monkeypatch)
+    (tmp_path / "outdir").mkdir()
     cfg = tmp_path / "exp.ini"
     cfg.write_text(EXPERIMENT_CONFIG.replace("grid = 0.0, 0.4, 0.8", "grid = 0.0, 0.2"))
-    out = tmp_path / out
-    assert cli_main(["experiment", "--config", str(cfg), "--out", str(out), *flags]) == 1
+    out = out.format(tmp=tmp_path)
+    assert cli_main(["experiment", "--config", str(cfg), "--out", out, *flags]) == 1
     assert capsys.readouterr().err == f"error: {error.format(tmp=tmp_path)}\n"
     assert fits == []
-    assert not out.exists()
+    assert sorted(os.listdir(tmp_path)) == ["exp.ini", "outdir"]
+    assert os.listdir(tmp_path / "outdir") == []
+
+
+@pytest.mark.parametrize(
+    "out, error",
+    [
+        ("", "[Errno 2] No such file or directory: ''"),
+        ("outdir", "[Errno 21] Is a directory: 'outdir'"),
+        ("outdir/", "[Errno 21] Is a directory: 'outdir/'"),
+        ("no_such_dir/out.csv", "[Errno 2] No such file or directory: 'no_such_dir'"),
+    ],
+    ids=["empty", "dir", "dir-slash", "missing-dir"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["generate", "--n", "30", "--d", "6", "--norms", "1.0", "--noise-var", "0.1",
+         "--seed", "3"],
+        ["mask", "--rate", "0.3", "--seed", "7", "--in", "data.csv"],
+        ["fit", "--k", "1", "--in", "data.csv"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_writing_commands_check_out_before_any_work(
+    tmp_path, monkeypatch, capsys, command, out, error
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "outdir").mkdir()
+    (tmp_path / "data.csv").write_text("1.0,2.0,3.0\n4.0,5.0,6.0\n7.0,8.0,10.0\n")
+    work = []
+    for name in ("draw_dataset", "read_masked_csv", "fit_ppca"):
+        monkeypatch.setattr(spiked_pca.cli, name, lambda *args, name=name: work.append(name))
+    assert cli_main([*command, "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {error}\n")
+    assert work == []
+    assert sorted(os.listdir(tmp_path)) == ["data.csv", "outdir"]
+    assert os.listdir(tmp_path / "outdir") == []
+
+
+def test_generate_checks_its_truth_sidecar_before_any_work(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d.csv.truth.csv").mkdir()
+    draws = []
+    monkeypatch.setattr(spiked_pca.cli, "draw_dataset", lambda *args: draws.append(args))
+    assert cli_main(["generate", "--n", "30", "--d", "6", "--norms", "1.0",
+                     "--noise-var", "0.1", "--seed", "3", "--out", "d.csv"]) == 1
+    assert capsys.readouterr().err == "error: [Errno 21] Is a directory: 'd.csv.truth.csv'\n"
+    assert draws == []
+    assert os.listdir(tmp_path) == ["d.csv.truth.csv"]
 
 
 def test_experiment_rejects_min_m_without_compare_hypotheses(tmp_path, monkeypatch, capsys):

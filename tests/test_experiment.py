@@ -351,6 +351,11 @@ def test_sweep_cell_seeds(monkeypatch, overrides, mask_calls, noise_calls):
     for got, want in zip(fitted, expected):
         assert np.array_equal(got.mask, want.mask)
         assert np.array_equal(got.values, want.values)
+    if cfg.sweep_kind == "missing_rate":
+        # every mask of a repetition wraps its one sample, uncopied
+        for rep in range(cfg.repetitions):
+            first, *rest = fitted[rep * len(cfg.grid) : (rep + 1) * len(cfg.grid)]
+            assert all(np.shares_memory(x.values, first.values) for x in rest)
 
 
 def test_snr_sweep_values_and_consistency():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from spiked_pca import (
     NumericalError,
     apply_mcar_mask,
 )
-from spiked_pca.masked import center_observed
+from spiked_pca.masked import center_observed, complete_matrix
 
 
 def test_mask_rate_zero_observes_everything():
@@ -184,6 +186,30 @@ def test_masked_matrix_wraps_read_only_arrays_without_copy():
     # the centered values are a fresh array the caller may change
     centered, _ = center_observed(x)
     assert centered.flags.writeable and not np.shares_memory(centered, values)
+
+
+def test_complete_wraps_read_only_values_without_allocating():
+    # the mask is a broadcast view of one True, and read-only values are kept
+    values = np.random.default_rng(4).normal(size=(2000, 500))
+    values.flags.writeable = False
+    tracemalloc.start()
+    try:
+        x = MaskedMatrix.complete(values)
+        allocated = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert allocated < 0.01 * values.size
+    assert np.shares_memory(x.values, values)
+    assert x.mask.shape == values.shape and x.mask.all()
+
+
+def test_complete_matrix_keeps_a_complete_matrix():
+    x = MaskedMatrix.complete(np.arange(6.0).reshape(2, 3))
+    assert complete_matrix(x) is x
+    y = complete_matrix(np.arange(6.0).reshape(2, 3))
+    assert isinstance(y, MaskedMatrix) and np.array_equal(y.values, x.values)
+    with pytest.raises(DomainError, match="missing entries"):
+        complete_matrix(apply_mcar_mask(x, 1.0, seed=1))
 
 
 def test_masked_matrix_copies_writeable_arrays():

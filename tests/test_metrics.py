@@ -221,13 +221,16 @@ def test_complete_data_spectrum_validation():
     incomplete = apply_mcar_mask(data, 0.5, seed=2)
     nonfinite = data.copy()
     nonfinite[1, 2] = np.inf
-    for func in (covariance_eigenvalues, lambda x: top_eigvec_complete(x, 1)):
+    spectra = (covariance_eigenvalues, lambda x: top_eigvec_complete(x, 1))
+    # every caller of complete_matrix rejects what it rejects
+    for func in (*spectra, lambda x: apply_mcar_mask(x, 0.5, seed=3)):
         with pytest.raises(DomainError, match="missing entries"):
             func(incomplete)
         with pytest.raises(DomainError, match="finite"):
             func(nonfinite)
         with pytest.raises(DomainError, match="2-d"):
             func(data[0])
+    for func in spectra:
         # finite entries whose centering overflows
         with pytest.raises(NumericalError, match="overflow"):
             func(np.array([[1e308, 0.0], [1e308, 1.0], [-1e308, 2.0]]))

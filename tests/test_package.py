@@ -1,8 +1,9 @@
 """The package's export list names only what the package defines, every
 exported name has a caller, the package defines every name the benchmark
 uses and every flag, field and module it reads, README's commands and
-config file parse, and its python tour names what exists and shows the
-values the library returns."""
+config file parse, its python tour names what exists and shows the
+values the library returns, and no module imports a name it leaves
+unused."""
 
 import ast
 import dataclasses
@@ -156,3 +157,49 @@ def test_readme_tour_names_exist_and_values_hold():
     assert len(shown) == 2
     for call, digits in shown:
         assert repr(eval(call, {"sp": sp})).startswith(digits), call
+
+
+def unused_imports(path):
+    """``(line, name)`` of each import in ``path`` whose name the module
+    never uses, skipping imports marked ``# noqa: F401``. ``import a.b``
+    counts as used where the module spells out ``a.b``."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source, str(path))
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            parts = [node.attr]
+            while isinstance(node.value, ast.Attribute):
+                node = node.value
+                parts.append(node.attr)
+            if isinstance(node.value, ast.Name):
+                parts.append(node.value.id)
+                used.add(".".join(reversed(parts)))
+                used.update(".".join(reversed(parts[i:])) for i in range(1, len(parts)))
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name
+            if name not in used:
+                unused.append((node.lineno, name))
+    return unused
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # no linter is a dependency, so this is the unused-import check; the
+    # package's __init__ imports to re-export
+    paths = [path for path in sorted((ROOT / "src" / "spiked_pca").glob("*.py"))
+             if path.name != "__init__.py"]
+    paths += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path in paths for line, name in unused_imports(path)]
+    assert found == []
