@@ -1,6 +1,6 @@
 """Command-line surface over the library.
 
-Exit codes: 0 success, 1 domain or format errors, 2 numerical failure.
+Exit codes: 0 success, 2 numerical failure, 1 any other library or OS error.
 All error messages go to standard error.
 """
 
@@ -9,7 +9,7 @@ import errno
 import os
 import sys
 
-from .errors import DomainError, FormatError, NumericalError, check_integer, check_rate
+from .errors import DomainError, NumericalError, SpikedPcaError, check_integer, check_rate
 from .experiment import compare_hypotheses, draw_dataset, run_sweep
 from .fileio import (
     REAL_FORMAT,
@@ -59,7 +59,6 @@ def _cmd_theory(args):
 
 def _cmd_generate(args):
     truth_path = args.out + ".truth.csv"
-    _check_out_path(args.out)
     _check_out_path(truth_path)
     check_integer("seed", args.seed, 0)
     # what repetition 0 of a sweep with base_seed = --seed fits
@@ -72,7 +71,6 @@ def _cmd_generate(args):
 
 
 def _cmd_mask(args):
-    _check_out_path(args.out)
     x = read_masked_csv(args.infile)
     write_masked_csv(apply_mcar_mask(x, args.rate, args.seed), args.out)
     print(f"wrote masked matrix to {args.out}")
@@ -80,8 +78,8 @@ def _cmd_mask(args):
 
 
 def _cmd_fit(args):
-    _check_out_path(args.out)
-    model = fit_ppca(read_masked_csv(args.infile), FitOptions(k=args.k, seed=args.seed))
+    opts = FitOptions(k=args.k, seed=args.seed)  # a bad option costs no read
+    model = fit_ppca(read_masked_csv(args.infile), opts)
     write_model_csv(model, args.out)
     _print_kv("sigma2", model.noise_variance)
     _print_kv("log_likelihood", model.loglik_history[-1])
@@ -100,7 +98,6 @@ def _cmd_snr(args):
 
 
 def _cmd_experiment(args):
-    _check_out_path(args.out)
     cfg = read_experiment_config(args.config)
     min_m = args.compare_hypotheses  # None without the flag
     # MIN_M is checked before the sweep, so a bad one costs no fit
@@ -189,13 +186,12 @@ def cli_main(argv=None):
     except SystemExit as exc:
         return 0 if (exc.code or 0) == 0 else 1
     try:
+        if "out" in args:  # every command that writes checks its --out first
+            _check_out_path(args.out)
         return args.func(args)
-    except (DomainError, FormatError, OSError) as exc:
+    except (SpikedPcaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, NumericalError) else 1
 
 
 def entry():

@@ -1,7 +1,7 @@
 """CSV and config-file serialization.
 
-All real numbers are written in ``REAL_FORMAT``, 6 significant digits;
-tests compare them with tolerances, never string equality. A matrix CSV
+Every file writes its reals in ``REAL_FORMAT``, 6 significant digits,
+its counts as exact integers and a NaN as an empty cell. A matrix CSV
 has one fixed format: comma-separated cells, no header, one line per
 sample. Missing entries are written as empty cells, so in a one-column
 file as blank lines; on read, whitespace-only cells and ``NaN`` in any
@@ -67,6 +67,22 @@ def read_masked_csv(path):
     return MaskedMatrix(values, mask)
 
 
+def _write_rows(path, types, rows, head=None, tail=None):
+    """Write the line ``head``, one line per row, then the line ``tail``;
+    ``head`` and ``tail`` only if given. One ``%`` call formats a row: a
+    ``float`` column of ``types`` in REAL_FORMAT, an ``int`` one with
+    ``%d`` so that counts stay exact, and a NaN cell as an empty cell."""
+    # a NaN prints as nan, which no other cell contains, and is then blanked
+    row_format = ",".join("%d" if t is int else "%" + REAL_FORMAT for t in types) + "\n"
+    with open(path, "w", newline="\n") as handle:
+        if head:
+            handle.write(head + "\n")
+        for row in rows:
+            handle.write((row_format % tuple(row)).replace("nan", ""))
+        if tail:
+            handle.write(tail + "\n")
+
+
 def write_masked_csv(x, path):
     """Write a MaskedMatrix; unobserved entries become empty cells.
 
@@ -74,26 +90,8 @@ def write_masked_csv(x, path):
     them. An observed NaN is written as an empty cell too, so it reads back
     as missing.
     """
-    # one format call per row: unobserved cells print as nan, which no
-    # finite or infinite value contains, and are then blanked
-    row_format = ",".join(["%" + REAL_FORMAT] * x.values.shape[1]) + "\n"
-    with open(path, "w", newline="\n") as handle:
-        for row_values, row_mask in zip(x.values, x.mask):
-            cells = tuple(np.where(row_mask, row_values, np.nan).tolist())
-            handle.write((row_format % cells).replace("nan", ""))
-
-
-def _write_table(path, head, rows, tail=None):
-    """Write the line ``head``, one comma-joined line per row, then the line
-    ``tail`` if given. A float cell is written in REAL_FORMAT, any other
-    cell with ``str``."""
-    with open(path, "w", newline="\n") as handle:
-        handle.write(head + "\n")
-        for row in rows:
-            cells = (format(v, REAL_FORMAT) if isinstance(v, float) else str(v) for v in row)
-            handle.write(",".join(cells) + "\n")
-        if tail:
-            handle.write(tail + "\n")
+    rows = (np.where(m, v, np.nan).tolist() for v, m in zip(x.values, x.mask))
+    _write_rows(path, (float,) * x.values.shape[1], rows)
 
 
 def write_curve_csv(records, path, summary=None):
@@ -105,14 +103,15 @@ def write_curve_csv(records, path, summary=None):
     records = sorted(records, key=lambda r: (r.sweep_value, r.component))
     if not records:
         raise DomainError("refusing to write an empty record set")
-    rows = ([f.type(getattr(r, f.name)) for f in fields(CurveRecord)] for r in records)
-    _write_table(path, ",".join(CURVE_COLUMNS), rows, f"# {summary}" if summary else None)
+    rows = ([getattr(r, name) for name in CURVE_COLUMNS] for r in records)
+    types = [f.type for f in fields(CurveRecord)]
+    _write_rows(path, types, rows, ",".join(CURVE_COLUMNS), f"# {summary}" if summary else None)
 
 
 def write_ground_truth_csv(gt, path, seed):
     """Write direction columns with a one-line metadata header."""
     head = f"# noise_variance={float(gt.noise_variance):{REAL_FORMAT}} seed={int(seed)}"
-    _write_table(path, head, gt.directions.tolist())
+    _write_rows(path, (float,) * gt.directions.shape[1], gt.directions.tolist(), head)
 
 
 def write_model_csv(model, path):
@@ -126,7 +125,7 @@ def write_model_csv(model, path):
         f" k={model.loadings.shape[1]}"
     )
     rows = ([mu, *row] for mu, row in zip(model.mean.tolist(), model.loadings.tolist()))
-    _write_table(path, head, rows)
+    _write_rows(path, (float,) * (model.loadings.shape[1] + 1), rows, head)
 
 
 def real_list(text):

@@ -94,13 +94,14 @@ def center_observed(x):
     Returns the centered values, a fresh writeable array whose unobserved
     entries are 0 of either sign, and the mean vector needed to invert the
     transform. A column with no observed entries has no mean and raises
-    :class:`DomainError`, as does a non-finite observed value; finite
-    values whose centering overflows raise :class:`NumericalError`.
+    :class:`DomainError` that numbers it from 1, as the CSV reader does,
+    and so does a non-finite observed value; finite values whose
+    centering overflows raise :class:`NumericalError`.
     """
     counts = x.mask.sum(axis=0)
     empty = np.flatnonzero(counts == 0)
     if empty.size:
-        raise DomainError(f"column {empty[0]}: cannot compute an observed mean")
+        raise DomainError(f"column {empty[0] + 1}: cannot compute an observed mean")
     centered = np.where(x.mask, x.values, 0.0)
     if not np.isfinite(centered).all():
         raise DomainError("observed entries must be finite")

@@ -471,7 +471,7 @@ def test_experiment_prints_grid_values_in_the_number_format(tmp_path, capsys):
 
 
 SMALL = [("n = 60", "n = 20"), ("d = 40", "d = 10")]
-NO_MEAN = "column 0: cannot compute an observed mean"
+NO_MEAN = "column 1: cannot compute an observed mean"
 
 
 @pytest.mark.parametrize(
@@ -658,6 +658,25 @@ def test_generate_checks_its_truth_sidecar_before_any_work(tmp_path, monkeypatch
     assert capsys.readouterr().err == "error: [Errno 21] Is a directory: 'd.csv.truth.csv'\n"
     assert draws == []
     assert os.listdir(tmp_path) == ["d.csv.truth.csv"]
+
+
+@pytest.mark.parametrize(
+    "flags, error",
+    [
+        (["--k", "0"], "k must be >= 1, got 0"),
+        (["--k", "1", "--seed", "-1"], "seed must be >= 0, got -1"),
+    ],
+    ids=["k", "seed"],
+)
+def test_fit_checks_its_options_before_reading(tmp_path, monkeypatch, capsys, flags, error):
+    def no_read(path):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr(spiked_pca.cli, "read_masked_csv", no_read)
+    assert cli_main(["fit", *flags, "--in", "data.csv", "--out", str(tmp_path / "m.csv")]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {error}\n")
+    assert os.listdir(tmp_path) == []
 
 
 def test_experiment_rejects_min_m_without_compare_hypotheses(tmp_path, monkeypatch, capsys):

@@ -317,25 +317,32 @@ def test_ground_truth_sidecar(tmp_path):
 
 def reference_line(cells):
     """One small-table line built cell by cell: ``format(v, ".6g")`` for a
-    real, ``str`` for an integer."""
-    return ",".join(str(v) if isinstance(v, int) else format(float(v), ".6g") for v in cells)
+    real, ``str`` for an integer, an empty cell for a NaN."""
+    return ",".join(
+        str(v) if isinstance(v, int) else "" if math.isnan(v) else format(float(v), ".6g")
+        for v in cells
+    )
 
 
 def special_matrix(shape, seed):
-    """Random reals of many magnitudes, about half replaced by WRITE_VALUES."""
+    """Random reals of many magnitudes, about half replaced by WRITE_VALUES
+    and some, the first among them, by NaN of either sign."""
     rng = np.random.default_rng(seed)
     values = rng.normal(size=shape) * 10.0 ** rng.integers(-12, 12, size=shape)
     special = rng.random(shape) < 0.5
     values[special] = rng.choice(WRITE_VALUES, size=int(special.sum()))
+    nan = rng.random(shape) < 0.15
+    nan.flat[0] = True
+    values[nan] = rng.choice([math.nan, -math.nan], size=int(nan.sum()))
     return values
 
 
 def test_curve_csv_matches_per_value_reference(tmp_path):
     # each special value once as a sweep value (the two zeros sort as
-    # equal, so only -0.0), the reals cycling through them, and counts
-    # too large for 6 digits
+    # equal, so only -0.0), the reals cycling through them and NaN of
+    # either sign, and counts too large for 6 digits
     sweep = sorted(set(WRITE_VALUES) - {0.0} | {-0.0})
-    cycle = WRITE_VALUES * 2
+    cycle = (*WRITE_VALUES, math.nan, -math.nan) * 2
     records = [
         CurveRecord(v, 1 + i % 3, cycle[i], cycle[i + 1], 10**i, cycle[i + 2], cycle[i + 3])
         for i, v in enumerate(sweep)

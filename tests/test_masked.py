@@ -116,7 +116,7 @@ def test_center_rejects_fully_missing_column():
     values = np.zeros((3, 3))
     mask = np.ones((3, 3), dtype=bool)
     mask[:, 1] = False
-    with pytest.raises(DomainError, match="^column 1: cannot compute an observed mean$"):
+    with pytest.raises(DomainError, match="^column 2: cannot compute an observed mean$"):
         center_observed(MaskedMatrix(values, mask))
 
 

@@ -199,7 +199,8 @@ def test_no_module_imports_a_name_it_does_not_use():
     # package's __init__ imports to re-export
     paths = [path for path in sorted((ROOT / "src" / "spiked_pca").glob("*.py"))
              if path.name != "__init__.py"]
-    paths += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    for folder in ("tests", "demos", "perfbench"):
+        paths += sorted((ROOT / folder).glob("*.py"))
     found = [f"{path.relative_to(ROOT)}:{line}: {name}"
              for path in paths for line, name in unused_imports(path)]
     assert found == []

@@ -58,7 +58,7 @@ def test_rejects_fully_missing_column():
     values = np.random.default_rng(0).normal(size=(20, 5))
     mask = np.ones((20, 5), dtype=bool)
     mask[:, 3] = False
-    with pytest.raises(DomainError, match="^column 3: cannot compute an observed mean$"):
+    with pytest.raises(DomainError, match="^column 4: cannot compute an observed mean$"):
         fit_ppca(MaskedMatrix(values, mask), FitOptions(k=1))
 
 
