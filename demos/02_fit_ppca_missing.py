@@ -23,9 +23,9 @@ from spiked_pca import (
 )
 
 d, n = 300, 500
-gt = make_ground_truth(d, norms=[1.0, 0.5], noise_variance=0.05, seed=1)
-print(f"ground truth: D={d}, k=2, sigma^2={gt.noise_variance}, "
-      f"S = {np.round(gt.snr_per_component, 2)}")
+norms, sigma2 = np.array([1.0, 0.5]), 0.05
+gt = make_ground_truth(d, norms, sigma2, seed=1)
+print(f"ground truth: D={d}, k=2, sigma^2={sigma2}, S = {np.round(norms**2 / sigma2, 2)}")
 
 data = sample_dataset(gt, n, seed=2)
 est = estimate_snr(covariance_eigenvalues(data), k=2)

@@ -23,7 +23,8 @@ from spiked_pca import (
     write_model_csv,
 )
 
-gt = make_ground_truth(40, norms=[1.0], noise_variance=0.25, seed=5)
+norm, sigma2 = 1.0, 0.25
+gt = make_ground_truth(40, [norm], sigma2, seed=5)
 data = sample_dataset(gt, 400, seed=6)
 
 write_masked_csv(MaskedMatrix.complete(data), "demo_complete.csv")
@@ -31,7 +32,7 @@ print("wrote demo_complete.csv")
 
 est = estimate_snr(covariance_eigenvalues(data), k=1)
 print(f"estimated S on the complete data: {est.snr_per_component[0]:.2f} "
-      f"(truth: {gt.snr_per_component[0]:.2f})")
+      f"(truth: {norm**2 / sigma2:.2f})")
 
 masked = apply_mcar_mask(data, m=0.35, seed=7)
 write_masked_csv(masked, "demo_masked.csv")

@@ -1,8 +1,8 @@
 """Sweep protocols: run many masked fits over a grid and aggregate.
 
 :func:`run_sweep` runs the sweep kind a config names. A kind is a cell
-rule that turns a grid value into a missing rate m, an added noise
-variance or none, and the per-component signal-to-noise ratio S: the
+rule, run once per grid value, that checks it and gives a missing rate m,
+an added noise variance (0 for none) and the per-component S: the
 missing-rate sweep masks at the grid's rate and adds no noise, the
 signal-to-noise sweep masks at one fixed rate and adds noise of the
 grid's variance. Each repetition draws a fresh dataset; a cell keeps the
@@ -72,12 +72,12 @@ def draw_dataset(n, d, norms, noise_variance, base_seed, repetition):
 class ExperimentConfig:
     """One sweep definition: grid, model dimensions and fit settings.
 
-    Valid once built: the grid is strictly ascending and each value obeys
-    its sweep kind's rule (a rate, or a finite nonnegative added variance),
-    the norms and noise variance obey :func:`make_ground_truth`'s, ``n``
-    and ``d`` exceed the number of norms (centered data of ``n`` rows have
-    rank at most ``n - 1``), ``fixed_missing_rate`` is nonzero
-    only on the snr_via_added_noise sweep, and ``fit.seed`` is 0.
+    Valid once built: the grid is strictly ascending, its kind's rule accepts
+    each value (a rate, or a finite nonnegative added variance leaving every
+    S positive), the norms and noise variance obey :func:`make_ground_truth`'s,
+    ``n`` and ``d`` exceed the number of norms (centered data of ``n`` rows
+    have rank at most ``n - 1``), ``fixed_missing_rate`` is nonzero only on
+    the snr_via_added_noise sweep, and ``fit.seed`` is 0.
     """
 
     sweep_kind: str
@@ -94,22 +94,23 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.sweep_kind not in SWEEP_KINDS:
             raise DomainError(f"unknown sweep kind {self.sweep_kind!r}")
-        check, _ = SWEEP_KINDS[self.sweep_kind]
-        grid = tuple(check(f"{self.sweep_kind} grid value", g) for g in self.grid)
+        norms, noise_variance, snr = _check_spikes(self.norms, self.noise_variance)
+        object.__setattr__(self, "norms", tuple(norms))
+        object.__setattr__(self, "noise_variance", noise_variance)
+        m = check_rate("fixed_missing_rate", self.fixed_missing_rate)
+        if m and self.sweep_kind == "missing_rate":
+            raise DomainError("fixed_missing_rate is only for the snr_via_added_noise sweep")
+        for g in self.grid:  # the kind's rule checks each value and the S it gives
+            SWEEP_KINDS[self.sweep_kind](self, snr, g)
+        grid = tuple(map(float, self.grid))
         if not grid:
             raise DomainError("grid must be nonempty")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise DomainError("grid must be strictly ascending")
         object.__setattr__(self, "grid", grid)
-        norms, noise_variance = _check_spikes(self.norms, self.noise_variance)
-        object.__setattr__(self, "norms", tuple(norms))
-        object.__setattr__(self, "noise_variance", noise_variance)
         k = len(norms)
         for name, low in (("n", k + 1), ("d", k + 1), ("repetitions", 1), ("base_seed", 0)):
             check_integer(name, getattr(self, name), low)
-        m = check_rate("fixed_missing_rate", self.fixed_missing_rate)
-        if m and self.sweep_kind == "missing_rate":
-            raise DomainError("fixed_missing_rate is only for the snr_via_added_noise sweep")
         if self.fit.seed:
             raise DomainError("fit.seed must be 0: each cell's fit seed comes from base_seed")
         if self.fit.k != k:
@@ -166,55 +167,55 @@ class SweepResult:
         return tuple(c for c in self.cells if c.error)
 
 
-def _missing_rate_cell(cfg, gt, m):
+def _missing_rate_cell(cfg, snr, g):
     """Mask at the grid's rate and keep the dataset's own noise."""
-    return m, None, gt.snr_per_component, [m] * len(cfg.norms)
+    m = check_rate(f"{cfg.sweep_kind} grid value", g)
+    return m, 0.0, snr, [m] * len(snr)
 
 
-def _added_noise_cell(cfg, gt, sigma2_added):
+def _added_noise_cell(cfg, snr, g):
     """Mask at ``cfg.fixed_missing_rate`` and add noise of the grid's variance;
     the recorded sweep value is S_i = ||a_i||^2 / (sigma2 + sigma2_added)."""
-    snrs = gt.snr_per_component * gt.noise_variance / (gt.noise_variance + sigma2_added)
+    sigma2_added = check_nonnegative(f"{cfg.sweep_kind} grid value", g)
+    snrs = snr * cfg.noise_variance / (cfg.noise_variance + sigma2_added)
+    if not all(0.0 < s < math.inf for s in snrs):  # the sum can overflow, S underflow
+        raise DomainError(f"{cfg.sweep_kind} grid value {g} leaves S at {snrs.tolist()}")
     return cfg.fixed_missing_rate, sigma2_added, snrs, snrs
 
 
-# each sweep kind: the rule its grid values obey, and its cell rule: (cfg, gt,
-# grid value) -> (m, added noise variance or None, S, recorded sweep values)
-SWEEP_KINDS = {
-    "missing_rate": (check_rate, _missing_rate_cell),
-    "snr_via_added_noise": (check_nonnegative, _added_noise_cell),
-}
+# each sweep kind's cell rule: (cfg, S, grid value) -> (m, added variance, S, sweep values)
+SWEEP_KINDS = {"missing_rate": _missing_rate_cell, "snr_via_added_noise": _added_noise_cell}
 
 
 def run_sweep(cfg):
     """Fit every (repetition, grid cell) of the sweep kind ``cfg.sweep_kind``
     names and fold the alignments into records.
 
-    Every repetition shares the ground truth, and so the points the kind's
-    cell rule gives; a repetition's masks share its one read-only sample. In
-    grid order, a cell keeps the previous cell's mask where its rate m is the
-    same, else draws one seeded (repetition, cell, STREAM_MASK), so one mask
-    is live at a time; it adds noise seeded (repetition, cell, STREAM_NOISE)
-    only where its rule gives a variance. Every fit becomes one CellResult; a
-    fit that raises or stops at ``max_iterations`` keeps a message and no
-    R^2, and is not retried, so the aggregates stay unbiased. Each grid cell
-    with a surviving fit is summarized by the sample mean and, for two or
-    more, the sample standard deviation; both theory columns follow from its
-    m and S.
+    The kind's cell rule runs once per grid value, before the first draw,
+    and every repetition masks and folds from that one list; a repetition's
+    masks share its one read-only sample. In grid order, a cell keeps the
+    previous cell's mask where its rate m is the same, else draws one seeded
+    (repetition, cell, STREAM_MASK), so one mask is live at a time; it adds
+    noise seeded (repetition, cell, STREAM_NOISE) only where its rule gives
+    a positive variance. Every fit becomes one CellResult; a fit that raises
+    or stops at ``max_iterations`` keeps a message and no R^2, and is not
+    retried, so the aggregates stay unbiased. Each grid cell with a surviving
+    fit is summarized by the sample mean and, for two or more, the sample
+    standard deviation; both theory columns follow from its m and S.
     """
-    _, rule = SWEEP_KINDS[cfg.sweep_kind]
+    _, _, snr = _check_spikes(cfg.norms, cfg.noise_variance)
+    points = [SWEEP_KINDS[cfg.sweep_kind](cfg, snr, g) for g in cfg.grid]
     alpha = cfg.n / cfg.d
     results = []
     for rep in range(cfg.repetitions):
         gt, data = draw_dataset(cfg.n, cfg.d, cfg.norms, cfg.noise_variance, cfg.base_seed, rep)
-        points = [rule(cfg, gt, g) for g in cfg.grid]
         rate = None
         for ci, (m, sigma2_added, _, _) in enumerate(points):
             if m != rate:
                 seed = derive_cell_seed(cfg.base_seed, rep, ci, STREAM_MASK)
                 masked, rate = apply_mcar_mask(data, m, seed), m
             x = masked
-            if sigma2_added is not None:
+            if sigma2_added:
                 seed = derive_cell_seed(cfg.base_seed, rep, ci, STREAM_NOISE)
                 x = add_isotropic_noise(masked, sigma2_added, seed)
             seed = derive_cell_seed(cfg.base_seed, rep, ci, STREAM_FIT)

@@ -167,6 +167,8 @@ def read_experiment_config(path):
             parser.read_file(handle)
     except configparser.Error as exc:
         raise FormatError(f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not text: {exc.reason} at byte {exc.start}") from None
     if not parser.has_section("experiment"):
         raise FormatError(f"{path}: missing [experiment] section")
     section = parser["experiment"]

@@ -16,29 +16,28 @@ from .errors import DomainError, check_integer, check_positive
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """True signal directions (columns of ``directions``, descending norm),
-    noise variance and the implied per-component signal-to-noise ratios.
+    """True signal directions (columns of ``directions``, descending norm)
+    and noise variance; S_i is column i's squared norm over the variance.
 
     Built and validated only by :func:`make_ground_truth`.
     """
 
     directions: np.ndarray
     noise_variance: float
-    snr_per_component: np.ndarray
 
 
 def _check_spikes(norms, noise_variance):
-    """The norms (a list, in order) and noise variance as floats; DomainError
-    unless each, and each norm**2 / noise variance, is positive and finite."""
+    """The norms (a list, in order), noise variance and S_i = norm_i**2 /
+    noise variance, descending; DomainError unless each is positive, finite."""
     if np.ndim(norms) != 1 or len(norms) < 1:
         raise DomainError("norms must be a nonempty 1-d sequence")
     norms = [check_positive("norms", v) for v in norms]
     noise_variance = check_positive("noise variance", noise_variance)
     with np.errstate(over="ignore"):
-        snr = np.array(norms) ** 2 / noise_variance
+        snr = np.sort(np.array(norms) ** 2 / noise_variance)[::-1]
     for s in snr:  # a ratio can overflow, or underflow to zero
         check_positive("norms**2 / noise variance", s)
-    return norms, noise_variance
+    return norms, noise_variance, snr
 
 
 def make_ground_truth(d, norms, noise_variance, seed):
@@ -49,19 +48,18 @@ def make_ground_truth(d, norms, noise_variance, seed):
     curves well defined. Norms are sorted descending.
     """
     check_integer("d", d, 1)
-    norms, noise_variance = _check_spikes(norms, noise_variance)
+    norms, noise_variance, _ = _check_spikes(norms, noise_variance)
     norms = np.sort(norms)[::-1]
     k = norms.size
     if not d > k:
         raise DomainError(f"need D > k, got D={d}, k={k}")
-    snr = norms ** 2 / noise_variance
     check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((d, k))
     q, _ = np.linalg.qr(raw)
     directions = q * norms
-    directions.flags.writeable = snr.flags.writeable = False
-    return GroundTruth(directions, noise_variance, snr)
+    directions.flags.writeable = False
+    return GroundTruth(directions, noise_variance)
 
 
 def sample_dataset(gt, n, seed):

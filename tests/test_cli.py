@@ -256,6 +256,17 @@ def test_non_text_matrix_csv_is_a_format_error(tmp_path, capsys):
     assert str(p) in capsys.readouterr().err
 
 
+def test_non_text_config_is_a_format_error(tmp_path, capsys):
+    p = tmp_path / "bad.ini"
+    text = b"[experiment]\nsweep_kind = missing_rate\xff\n"
+    p.write_bytes(text)
+    code = cli_main(["experiment", "--config", str(p), "--out", str(tmp_path / "o.csv")])
+    assert code == 1
+    at = text.index(b"\xff")
+    assert capsys.readouterr().err == f"error: {p}: not text: invalid start byte at byte {at}\n"
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_mask_rejects_incomplete_input(tmp_path, capsys):
     p = tmp_path / "incomplete.csv"
     p.write_text("1.0,,2.0\n3.0,4.0,5.0\n")
@@ -544,6 +555,35 @@ def test_experiment_rejects_n_that_cannot_hold_its_components(tmp_path, monkeypa
     assert capsys.readouterr().err.endswith("n must be >= 3, got 2\n")
     assert fits == []
     assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "settings, bad",
+    [
+        # S = 1e-10 at the base noise; adding 1e300 underflows it to 0
+        ("grid = 1e300\nnorms = 1e-150\nnoise_variance = 1e-290", "1e+300"),
+        # sigma^2 + 1.7e308 overflows to inf, so S = 0
+        ("grid = 1.7e308\nnorms = 1.0\nnoise_variance = 1e308", "1.7e+308"),
+    ],
+    ids=["underflow", "overflow"],
+)
+def test_experiment_rejects_snr_grid_value_that_drives_s_to_zero(
+    tmp_path, monkeypatch, capsys, settings, bad
+):
+    # rejected when the file is read, before the grid's first (valid) value is fitted
+    fits = count_fits(monkeypatch)
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(
+        "[experiment]\nsweep_kind = snr_via_added_noise\nn = 40\nd = 20\nrepetitions = 2\n"
+        "base_seed = 1\nfixed_missing_rate = 0.2\n"
+        + settings.replace("grid = ", "grid = 0.0, ") + "\n"
+    )
+    out = tmp_path / "c.csv"
+    assert cli_main(["experiment", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: snr_via_added_noise grid value {bad} leaves S at [0.0]\n")
+    assert fits == []
+    assert not out.exists()
 
 
 def test_experiment_rejects_repeated_grid_value(tmp_path, capsys):

@@ -17,6 +17,7 @@ from spiked_pca import (
 from spiked_pca import experiment
 from spiked_pca.experiment import derive_cell_seed
 from spiked_pca.metrics import add_isotropic_noise
+from spiked_pca.synthetic import GroundTruth
 
 
 def small_config(**overrides):
@@ -305,7 +306,7 @@ def test_sweep_leaves_a_capped_fit_out_of_the_mean(monkeypatch):
     [
         ({}, 3 * 5, 0),
         (dict(sweep_kind="snr_via_added_noise", grid=(0.0, 0.05, 0.2),
-              fixed_missing_rate=0.3), 3, 3 * 3),
+              fixed_missing_rate=0.3), 3, 3 * 2),
     ],
     ids=["missing_rate", "snr_via_added_noise"],
 )
@@ -313,7 +314,7 @@ def test_sweep_cell_seeds(monkeypatch, overrides, mask_calls, noise_calls):
     # the seed contract: a missing-rate cell fits the repetition's dataset
     # masked with seed (rep, ci, STREAM_MASK) and no noise; an SNR cell fits
     # the repetition's one mask, seeded (rep, 0, STREAM_MASK), plus noise
-    # seeded (rep, ci, STREAM_NOISE)
+    # seeded (rep, ci, STREAM_NOISE) unless its added variance is 0
     cfg = small_config(**overrides)
     fitted, calls = [], {"mask": 0, "noise": 0}
 
@@ -346,7 +347,7 @@ def test_sweep_cell_seeds(monkeypatch, overrides, mask_calls, noise_calls):
                 seed = derive_cell_seed(cfg.base_seed, rep, 0, experiment.STREAM_MASK)
                 masked = apply_mcar_mask(data, cfg.fixed_missing_rate, seed)
                 seed = derive_cell_seed(cfg.base_seed, rep, ci, experiment.STREAM_NOISE)
-                expected.append(add_isotropic_noise(masked, g, seed))
+                expected.append(add_isotropic_noise(masked, g, seed) if g else masked)
     assert len(fitted) == len(expected)
     for got, want in zip(fitted, expected):
         assert np.array_equal(got.mask, want.mask)
@@ -417,20 +418,30 @@ def test_snr_sweep_pairs_components_with_sorted_norms():
     assert comp2 == pytest.approx([1.0, 5.0], rel=1e-12)
 
 
-def test_snr_sweep_rejects_negative_grid():
-    for grid in [(-0.1, 0.0), (0.0, float("nan")), (0.0, float("inf"))]:
-        with pytest.raises(DomainError, match="grid value must be finite and nonnegative"):
-            ExperimentConfig(
-                sweep_kind="snr_via_added_noise",
-                grid=grid,
-                n=50,
-                d=30,
-                norms=(1.0,),
-                noise_variance=0.05,
-                repetitions=1,
-                base_seed=0,
-                fit=FitOptions(k=1),
-            )
+@pytest.mark.parametrize("kind", sorted(experiment.SWEEP_KINDS))
+def test_sweep_kind_rejects_invalid_grid_values(kind):
+    # each kind's rule checks its own grid values, so a new kind is covered here
+    for bad in (-0.1, float("nan"), float("inf"), float("-inf"), True, "0.1"):
+        with pytest.raises(DomainError, match=f"{kind} grid value must"):
+            small_config(sweep_kind=kind, grid=(0.0, bad))
+
+
+def test_sweep_runs_its_rule_once_per_grid_value(monkeypatch):
+    # the rule depends on the config alone, so repetitions share one run of it
+    cfg = small_config(sweep_kind="snr_via_added_noise", grid=(0.0, 0.05, 0.2),
+                       fixed_missing_rate=0.3, repetitions=3)
+    reference = run_sweep(cfg)
+    rule, calls = experiment.SWEEP_KINDS[cfg.sweep_kind], []
+
+    def counted_rule(*args):
+        calls.append(args)
+        return rule(*args)
+
+    monkeypatch.setitem(experiment.SWEEP_KINDS, cfg.sweep_kind, counted_rule)
+    result = run_sweep(cfg)
+    assert [g for _, _, g in calls] == list(cfg.grid)
+    assert not any(isinstance(a, GroundTruth) for args in calls for a in args)
+    assert result.cells == reference.cells and list(result) == list(reference)
 
 
 def make_record(m, component, r2_mean, theory, alt):

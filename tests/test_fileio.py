@@ -374,7 +374,7 @@ def test_model_csv_matches_per_value_reference(tmp_path, k):
 
 def test_ground_truth_csv_matches_per_value_reference(tmp_path):
     directions = special_matrix((9, 2), seed=5)
-    gt = GroundTruth(directions, 5e-324, np.ones(2))
+    gt = GroundTruth(directions, 5e-324)
     p = tmp_path / "truth.csv"
     write_ground_truth_csv(gt, str(p), seed=2**40)
     expected = f"# noise_variance={format(5e-324, '.6g')} seed={2**40}\n"
