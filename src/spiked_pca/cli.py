@@ -114,12 +114,14 @@ def _cmd_experiment(args):
         print(f"failed cell: repetition {cell.repetition}, grid value {value}: {cell.error}",
               file=sys.stderr)
     summary = None
-    if min_m is not None:
-        rmse_snr, rmse_sample = compare_hypotheses(result, min_m)
-        summary = (f"rmse_snr_hypothesis={format(rmse_snr, REAL_FORMAT)} "
-                   f"rmse_sample_hypothesis={format(rmse_sample, REAL_FORMAT)}")
-    write_curve_csv(result, args.out, summary=summary)
-    print(f"wrote {len(result)} records to {args.out}")
+    try:
+        if min_m is not None:
+            rmse_snr, rmse_sample = compare_hypotheses(result, min_m)
+            summary = (f"rmse_snr_hypothesis={format(rmse_snr, REAL_FORMAT)} "
+                       f"rmse_sample_hypothesis={format(rmse_sample, REAL_FORMAT)}")
+    finally:  # a score that fails still writes the curve, without its summary
+        write_curve_csv(result, args.out, summary=summary)
+        print(f"wrote {len(result)} records to {args.out}")
     if summary:
         print(summary)
     return 0

@@ -10,6 +10,7 @@ case are missing too. They become mask bits in memory.
 
 import configparser
 import re
+from contextlib import contextmanager
 from dataclasses import MISSING, fields
 
 import numpy as np
@@ -28,40 +29,52 @@ _BLANK_CELL = re.compile(r",\s*(?=,|$)")
 _NUMPY_CELL = re.compile(r"at row (\d+), column (\d+)")
 
 
+@contextmanager
+def _reading(path):
+    """``path`` opened as UTF-8 text for the block, whose ValueErrors and
+    configparser errors leave as one FormatError naming the path; a byte
+    that does not decode is named by its offset in the file."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            yield handle
+    except UnicodeDecodeError as exc:
+        try:  # exc.start counts from the chunk the text layer last decoded
+            with open(path, "rb") as raw:
+                raw.read().decode("utf-8")
+        except UnicodeDecodeError as whole:
+            exc = whole
+        raise FormatError(f"{path}: not text: {exc.reason} at byte {exc.start}") from None
+    except (ValueError, configparser.Error) as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
 def read_masked_csv(path):
-    """Read a matrix CSV into a MaskedMatrix.
+    """Read a UTF-8 matrix CSV into a MaskedMatrix.
 
     Cells that are empty, whitespace or spelled ``NaN`` (any case, with
-    or without a sign) are masked out. Ragged rows and unparseable cells are format errors that
-    name the offending line or (row, column); bytes that do not decode as
-    text are a format error naming the file.
+    or without a sign) are masked out. Every format error names the file:
+    a ragged row its line, an unparseable cell its (row, column), a byte
+    that does not decode its offset in the file.
     """
-    try:
-        with open(path) as handle:
-            # a one-column row whose entry is missing is written as a blank line
-            lines = [
-                _BLANK_CELL.sub(",nan", "," + line.rstrip("\n"))[1:] for line in handle
-            ]
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not text: {exc.reason} at byte {exc.start}") from None
-    if not lines:
-        raise FormatError(f"{path}: no data")
-    width = lines[0].count(",") + 1
-    for line_no, line in enumerate(lines, start=1):
-        cells = line.count(",") + 1
-        if cells != width:
-            raise FormatError(f"{path}: line {line_no} has {cells} cells, expected {width}")
-    try:
-        values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-    except ValueError as exc:
-        where = _NUMPY_CELL.search(str(exc))
-        if where is None:
-            raise FormatError(f"{path}: {exc}") from None
-        row, col = int(where[1]) + 1, int(where[2])  # no line is blank, so rows are lines
-        cell = lines[row - 1].split(",")[col - 1].strip()
-        raise FormatError(
-            f"{path}: cannot parse {cell!r} at row {row}, column {col}"
-        ) from None
+    with _reading(path) as handle:
+        # a one-column row whose entry is missing is written as a blank line
+        lines = [_BLANK_CELL.sub(",nan", "," + line.rstrip("\n"))[1:] for line in handle]
+        if not lines:
+            raise FormatError("no data")
+        width = lines[0].count(",") + 1
+        for line_no, line in enumerate(lines, start=1):
+            cells = line.count(",") + 1
+            if cells != width:
+                raise FormatError(f"line {line_no} has {cells} cells, expected {width}")
+        try:
+            values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            where = _NUMPY_CELL.search(str(exc))
+            if where is None:
+                raise
+            row, col = int(where[1]) + 1, int(where[2])  # no line is blank, so rows are lines
+            cell = lines[row - 1].split(",")[col - 1].strip()
+            raise FormatError(f"cannot parse {cell!r} at row {row}, column {col}")
     mask = ~np.isnan(values)
     values.flags.writeable = mask.flags.writeable = False  # fresh: no copies
     return MaskedMatrix(values, mask)
@@ -74,7 +87,7 @@ def _write_rows(path, types, rows, head=None, tail=None):
     ``%d`` so that counts stay exact, and a NaN cell as an empty cell."""
     # a NaN prints as nan, which no other cell contains, and is then blanked
     row_format = ",".join("%d" if t is int else "%" + REAL_FORMAT for t in types) + "\n"
-    with open(path, "w", newline="\n") as handle:
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
         if head:
             handle.write(head + "\n")
         for row in rows:
@@ -155,37 +168,28 @@ _REQUIRED_KEYS = {f.name for f in fields(ExperimentConfig) if f.default is MISSI
 
 
 def read_experiment_config(path):
-    """Parse an experiment config file into an ExperimentConfig.
-
-    The format is an INI file with one ``[experiment]`` section; see the
-    README for the key list. Grids are comma-separated values or
-    ``linspace(start, stop, count)``.
+    """Parse a UTF-8 INI file with exactly one section, ``[experiment]``,
+    into an ExperimentConfig; see the README for the keys. A ``%`` is an
+    ordinary character. Grids are comma-separated values or
+    ``linspace(start, stop, count)``. Every error names the file once.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    try:
-        with open(path) as handle:
-            parser.read_file(handle)
-    except configparser.Error as exc:
-        raise FormatError(f"{path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not text: {exc.reason} at byte {exc.start}") from None
-    if not parser.has_section("experiment"):
-        raise FormatError(f"{path}: missing [experiment] section")
-    section = parser["experiment"]
-    for key in section:
-        if key not in _CONFIG_KEYS:
-            raise FormatError(f"{path}: unknown key {key!r}")
-    for key in _CONFIG_KEYS:
-        if key in _REQUIRED_KEYS and key not in section:
-            raise FormatError(f"{path}: missing key {key!r}")
-    values = {}
-    for key, text in section.items():
-        try:
-            values[key] = _CONFIG_KEYS[key](text)
-        except ValueError as exc:
-            raise FormatError(f"{path}: {key}: {exc}") from None
-    fit_keys = {f.name: values.pop(f.name) for f in fields(FitOptions) if f.name in values}
-    try:
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    with _reading(path) as handle:
+        parser.read_file(handle)
+        if parser.sections() != ["experiment"]:
+            raise FormatError(f"expected one [experiment] section, got {parser.sections()}")
+        section = parser["experiment"]
+        for key in section:
+            if key not in _CONFIG_KEYS:
+                raise FormatError(f"unknown key {key!r}")
+        for key in _CONFIG_KEYS:
+            if key in _REQUIRED_KEYS and key not in section:
+                raise FormatError(f"missing key {key!r}")
+        values = {}
+        for key, text in section.items():
+            try:
+                values[key] = _CONFIG_KEYS[key](text)
+            except ValueError as exc:
+                raise FormatError(f"{key}: {exc}")
+        fit_keys = {f.name: values.pop(f.name) for f in fields(FitOptions) if f.name in values}
         return ExperimentConfig(fit=FitOptions(k=len(values["norms"]), **fit_keys), **values)
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from None

@@ -17,7 +17,7 @@ from spiked_pca import (
     theory_r2_missing,
 )
 from spiked_pca.cli import cli_main
-from spiked_pca.fileio import REAL_FORMAT
+from spiked_pca.fileio import CURVE_COLUMNS, REAL_FORMAT
 from spiked_pca.ppca import _spd_inverse
 
 
@@ -247,24 +247,29 @@ def test_fit_rejects_k_not_below_the_rows(tmp_path, capsys):
     assert cli_main(["fit", "--k", "1", "--in", str(p), "--out", out]) == 0
 
 
+# the second file of each test is larger than the text layer's ~8 KB chunk,
+# so its bad byte's offset in the file is not its offset in that chunk
 def test_non_text_matrix_csv_is_a_format_error(tmp_path, capsys):
     p = tmp_path / "binary.csv"
-    p.write_bytes(b"1.0,2.0\n\xff\xfe,3.0\n")
-    code = cli_main(["fit", "--k", "1", "--in", str(p),
-                     "--out", str(tmp_path / "model.csv")])
-    assert code == 1
-    assert str(p) in capsys.readouterr().err
+    for text, at in ((b"1.0,2.0\n\xff\xfe,3.0\n", 8), (b"1.0,2.0,3.0\n" * 1333 + b"\xff", 15996)):
+        p.write_bytes(text)
+        code = cli_main(["fit", "--k", "1", "--in", str(p),
+                         "--out", str(tmp_path / "model.csv")])
+        assert code == 1
+        assert text.index(b"\xff") == at
+        assert capsys.readouterr().err == f"error: {p}: not text: invalid start byte at byte {at}\n"
 
 
 def test_non_text_config_is_a_format_error(tmp_path, capsys):
     p = tmp_path / "bad.ini"
-    text = b"[experiment]\nsweep_kind = missing_rate\xff\n"
-    p.write_bytes(text)
-    code = cli_main(["experiment", "--config", str(p), "--out", str(tmp_path / "o.csv")])
-    assert code == 1
-    at = text.index(b"\xff")
-    assert capsys.readouterr().err == f"error: {p}: not text: invalid start byte at byte {at}\n"
-    assert not (tmp_path / "o.csv").exists()
+    large = b"[experiment]\n# " + b"x" * 9000 + b"\nsweep_kind = missing_rate\xff\n"
+    for text, at in ((b"[experiment]\nsweep_kind = missing_rate\xff\n", 38), (large, 9041)):
+        p.write_bytes(text)
+        code = cli_main(["experiment", "--config", str(p), "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert text.index(b"\xff") == at
+        assert capsys.readouterr().err == f"error: {p}: not text: invalid start byte at byte {at}\n"
+        assert not (tmp_path / "o.csv").exists()
 
 
 def test_mask_rejects_incomplete_input(tmp_path, capsys):
@@ -522,7 +527,41 @@ def test_experiment_names_failed_cells_before_exiting(tmp_path, capsys, edits, f
     assert all(head.startswith("failed cell: repetition ") for head, _ in failed)
     assert sorted(tail.split(": ")[0] for _, tail in failed) == failed_values
     assert all(tail.split(": ", 1)[1] == reason for _, tail in failed)
-    assert not out.exists()
+    assert out.exists() == bool(flags)  # a score that fails still writes the curve
+
+
+def test_experiment_writes_the_curve_when_the_score_fails(tmp_path, capsys, monkeypatch):
+    # both fits at 0.97 fail, so no record lies at or above MIN_M = 0.9,
+    # but the m = 0 record is still written
+    fits = count_fits(monkeypatch)
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(EXPERIMENT_CONFIG.replace("grid = 0.0, 0.4, 0.8", "grid = 0.0, 0.97")
+                   .replace("n = 60", "n = 40").replace("d = 40", "d = 60")
+                   .replace("base_seed = 11", "base_seed = 1"))
+    out = tmp_path / "c.csv"
+    assert cli_main(["experiment", "--config", str(cfg), "--out", str(out),
+                     "--compare-hypotheses", "0.9"]) == 1
+    assert len(fits) == 4
+    captured = capsys.readouterr()
+    assert captured.out == f"wrote 1 records to {out}\n"
+    assert captured.err.splitlines() == [
+        "failed cell: repetition 0, grid value 0.97: column 1: cannot compute an observed mean",
+        "failed cell: repetition 1, grid value 0.97: column 2: cannot compute an observed mean",
+        "error: no first-component records at or above min_m",
+    ]
+    header, *rows = out.read_text().splitlines()  # no trailing # summary line
+    assert header == ",".join(CURVE_COLUMNS)
+    # sweep value, component and n_reps of the one record: m = 0, both fits
+    assert [row.split(",")[:2] + row.split(",")[4:5] for row in rows] == [["0", "1", "2"]]
+
+
+def test_experiment_reads_percent_as_an_ordinary_character(tmp_path, capsys):
+    # the config has no interpolation, so a % is a character the grid cannot parse
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(EXPERIMENT_CONFIG.replace("grid = 0.0, 0.4, 0.8", "grid = 0.0, 0.4%"))
+    assert cli_main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: grid: could not convert string to float: ' 0.4%'\n")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

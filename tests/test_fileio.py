@@ -82,7 +82,8 @@ def test_read_rejects_unparseable_cell(tmp_path):
     p.write_text("1.0,abc\n")
     with pytest.raises(FormatError) as err:
         read_masked_csv(str(p))
-    assert "row 1" in str(err.value) and "column 2" in str(err.value)
+    # the file is named once
+    assert str(err.value) == f"{p}: cannot parse 'abc' at row 1, column 2"
     # a quoted cell and a digit separator are not numbers in this format
     for cell in ('"7"', "1_0"):
         p.write_text(f"1.0,{cell}\n")
@@ -425,8 +426,13 @@ def test_read_experiment_config_explicit_grid(tmp_path):
 def test_read_experiment_config_errors(tmp_path):
     p = tmp_path / "exp.ini"
     p.write_text("[wrong]\nn = 3\n")
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="section"):
         read_experiment_config(str(p))
+    # a second section is an error, not a setting dropped without a word
+    p.write_text(CONFIG_TEXT + "[fit]\nmax_iterations = 5\n")
+    with pytest.raises(FormatError) as err:
+        read_experiment_config(str(p))
+    assert str(err.value) == f"{p}: expected one [experiment] section, got ['experiment', 'fit']"
     p.write_text(CONFIG_TEXT.replace("n = 60\n", ""))
     with pytest.raises(FormatError):
         read_experiment_config(str(p))
@@ -434,8 +440,9 @@ def test_read_experiment_config_errors(tmp_path):
     for key, bad in (("n", "sixty"), ("grid", "0.1, x"), ("norms", "1.0,,0.5"),
                      ("noise_variance", "small"), ("max_iterations", "2.5")):
         p.write_text(re.sub(f"^{key} = .*$", f"{key} = {bad}", CONFIG_TEXT, flags=re.M))
-        with pytest.raises(FormatError, match=f"^{re.escape(str(p))}: {key}: "):
+        with pytest.raises(FormatError, match=f"^{re.escape(str(p))}: {key}: ") as err:
             read_experiment_config(str(p))
+        assert str(err.value).count(str(p)) == 1
     p.write_text(CONFIG_TEXT.replace("linspace(0, 0.8, 5)", "linspace(0, 0.8)"))
     with pytest.raises(FormatError, match="linspace"):
         read_experiment_config(str(p))

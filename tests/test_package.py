@@ -2,8 +2,8 @@
 exported name has a caller, the package defines every name the benchmark
 uses and every flag, field and module it reads, README's commands and
 config file parse, its python tour names what exists and shows the
-values the library returns, and no module imports a name it leaves
-unused."""
+values the library returns, no module imports a name it leaves unused,
+and only ``fileio`` opens a file."""
 
 import ast
 import dataclasses
@@ -204,3 +204,14 @@ def test_no_module_imports_a_name_it_does_not_use():
     found = [f"{path.relative_to(ROOT)}:{line}: {name}"
              for path in paths for line, name in unused_imports(path)]
     assert found == []
+
+
+def test_only_fileio_opens_files():
+    # one module opens, decodes and names the package's files, so a reader
+    # elsewhere cannot bring back a second decode path
+    opened = {path.name for path in sorted((ROOT / "src" / "spiked_pca").glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text(), str(path)))
+              if isinstance(node, ast.Call) and (
+                  isinstance(node.func, ast.Name) and node.func.id == "open"
+                  or isinstance(node.func, ast.Attribute) and node.func.attr == "open")}
+    assert opened == {"fileio.py"}
