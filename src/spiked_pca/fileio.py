@@ -8,7 +8,6 @@ file as blank lines; on read, whitespace-only cells and ``NaN`` in any
 case are missing too. They become mask bits in memory.
 """
 
-import configparser
 import re
 from contextlib import contextmanager
 from dataclasses import MISSING, fields
@@ -27,15 +26,17 @@ CURVE_COLUMNS = tuple(f.name for f in fields(CurveRecord))
 # prepends one comma so that the first cell has one too
 _BLANK_CELL = re.compile(r",\s*(?=,|$)")
 _NUMPY_CELL = re.compile(r"at row (\d+), column (\d+)")
+# a config comment: a '#' at the start of a line or after whitespace, to its end
+_COMMENT = re.compile(r"(?:^|\s)#.*")
 
 
 @contextmanager
 def _reading(path):
-    """``path`` opened as UTF-8 text for the block, whose ValueErrors and
-    configparser errors leave as one FormatError naming the path; a byte
-    that does not decode is named by its offset in the file."""
+    """``path`` opened as UTF-8 text, a leading byte-order mark skipped,
+    for the block, whose ValueErrors leave as one FormatError naming the
+    path; a byte that does not decode is named by its offset in the file."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             yield handle
     except UnicodeDecodeError as exc:
         try:  # exc.start counts from the chunk the text layer last decoded
@@ -44,7 +45,7 @@ def _reading(path):
         except UnicodeDecodeError as whole:
             exc = whole
         raise FormatError(f"{path}: not text: {exc.reason} at byte {exc.start}") from None
-    except (ValueError, configparser.Error) as exc:
+    except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
 
 
@@ -168,28 +169,31 @@ _REQUIRED_KEYS = {f.name for f in fields(ExperimentConfig) if f.default is MISSI
 
 
 def read_experiment_config(path):
-    """Parse a UTF-8 INI file with exactly one section, ``[experiment]``,
-    into an ExperimentConfig; see the README for the keys. A ``%`` is an
-    ordinary character. Grids are comma-separated values or
-    ``linspace(start, stop, count)``. Every error names the file once.
-    """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    """Parse a UTF-8 config file, in one pass, into an ExperimentConfig; the
+    README states its grammar and keys, and a grid may be ``linspace(start,
+    stop, count)``. Every error names the file once, a syntax error its line."""
+    values = {}
     with _reading(path) as handle:
-        parser.read_file(handle)
-        if parser.sections() != ["experiment"]:
-            raise FormatError(f"expected one [experiment] section, got {parser.sections()}")
-        section = parser["experiment"]
-        for key in section:
-            if key not in _CONFIG_KEYS:
-                raise FormatError(f"unknown key {key!r}")
-        for key in _CONFIG_KEYS:
-            if key in _REQUIRED_KEYS and key not in section:
-                raise FormatError(f"missing key {key!r}")
-        values = {}
-        for key, text in section.items():
+        lines = ((no, _COMMENT.sub("", line).strip()) for no, line in enumerate(handle, start=1))
+        lines = ((no, line) for no, line in lines if line)
+        no, line = next(lines, (1, ""))
+        if line != "[experiment]":
+            raise FormatError(f"line {no}: expected the section header [experiment], got {line!r}")
+        for no, line in lines:
+            if line.startswith("[") and line.endswith("]"):
+                raise FormatError(f"line {no}: expected one [experiment] section, got {line!r}")
+            key, equals, text = (part.strip() for part in line.partition("="))
+            if not equals:
+                raise FormatError(f"line {no}: expected key = value, got {line!r}")
+            if key not in _CONFIG_KEYS or key in values:
+                what = "repeated" if key in values else "unknown"
+                raise FormatError(f"line {no}: {what} key {key!r}")
             try:
                 values[key] = _CONFIG_KEYS[key](text)
             except ValueError as exc:
                 raise FormatError(f"{key}: {exc}")
+        missing = [key for key in _CONFIG_KEYS if key in _REQUIRED_KEYS and key not in values]
+        if missing:
+            raise FormatError(f"missing key {missing[0]!r}")
         fit_keys = {f.name: values.pop(f.name) for f in fields(FitOptions) if f.name in values}
         return ExperimentConfig(fit=FitOptions(k=len(values["norms"]), **fit_keys), **values)

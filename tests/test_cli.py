@@ -633,6 +633,28 @@ def test_experiment_rejects_repeated_grid_value(tmp_path, capsys):
     assert not (tmp_path / "c.csv").exists()
 
 
+# each file breaks the config grammar on one line, which the error names
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("not an ini\n", 1),
+        ("[experiment]\nsweep_kind = missing_rate\nsweep_kind = missing_rate\n", 3),
+        ("[experiment]\nsweep_kind\n", 2),
+        ("[experiment]\n[experiment]\n", 2),
+        (EXPERIMENT_CONFIG + "[fit]\nmax_iterations = 5\n", 12),
+    ],
+    ids=["no-section", "repeated-key", "no-equals", "second-section", "fit-section"],
+)
+def test_experiment_config_syntax_error_is_one_line(tmp_path, monkeypatch, capsys, text, line):
+    fits = count_fits(monkeypatch)
+    cfg, out = tmp_path / "exp.ini", tmp_path / "c.csv"
+    cfg.write_text(text)
+    assert cli_main(["experiment", "--config", str(cfg), "--out", str(out)]) == 1
+    (error,) = capsys.readouterr().err.splitlines()
+    assert error.startswith(f"error: {cfg}: line {line}: ") and error.count(str(cfg)) == 1
+    assert fits == [] and not out.exists()
+
+
 def count_fits(monkeypatch):
     """The matrices each sweep fit is handed, recorded in call order."""
     import spiked_pca.experiment

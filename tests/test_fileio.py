@@ -116,6 +116,20 @@ def test_read_rejects_ragged_rows(tmp_path):
     assert "line 2 has 1 cells, expected 2" in str(err.value)
 
 
+# a byte-order mark, which spreadsheets' "CSV UTF-8" exports write, is skipped,
+# and a bad byte's offset in the file counts it
+def test_read_skips_a_byte_order_mark(tmp_path):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(b"1.0,2.0\n3.0,4.5\n5,6\n")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    x, y = read_masked_csv(str(plain)), read_masked_csv(str(marked))
+    assert np.array_equal(x.values, y.values) and np.array_equal(x.mask, y.mask)
+    marked.write_bytes(b"\xef\xbb\xbf1.0\n\xff\n")
+    with pytest.raises(FormatError) as err:
+        read_masked_csv(str(marked))
+    assert str(err.value) == f"{marked}: not text: invalid start byte at byte 7"
+
+
 def test_read_rejects_empty_file(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text("")
@@ -409,6 +423,9 @@ def test_read_experiment_config(tmp_path):
     assert cfg.fit.max_iterations == 250
     assert cfg.fit.rel_tolerance == 1e-7
     assert cfg.fixed_missing_rate == 0.0
+    # a leading byte-order mark, which spreadsheet exports write, is skipped
+    p.write_bytes(b"\xef\xbb\xbf" + CONFIG_TEXT.lstrip().encode())
+    assert read_experiment_config(str(p)) == cfg
     # with every optional key omitted, the dataclass defaults apply
     p.write_text(CONFIG_TEXT.replace("max_iterations = 250\n", ""))
     cfg = read_experiment_config(str(p))
@@ -432,7 +449,7 @@ def test_read_experiment_config_errors(tmp_path):
     p.write_text(CONFIG_TEXT + "[fit]\nmax_iterations = 5\n")
     with pytest.raises(FormatError) as err:
         read_experiment_config(str(p))
-    assert str(err.value) == f"{p}: expected one [experiment] section, got ['experiment', 'fit']"
+    assert str(err.value) == f"{p}: line 12: expected one [experiment] section, got '[fit]'"
     p.write_text(CONFIG_TEXT.replace("n = 60\n", ""))
     with pytest.raises(FormatError):
         read_experiment_config(str(p))
@@ -454,6 +471,13 @@ def test_read_experiment_config_errors(tmp_path):
         p.write_text(CONFIG_TEXT + line + "\n")
         with pytest.raises(FormatError, match=f"unknown key '{line.split()[0]}'"):
             read_experiment_config(str(p))
+    # keys are case-sensitive, and a '#' inside a value does not start a comment
+    p.write_text(CONFIG_TEXT + "N = 60\n")
+    with pytest.raises(FormatError, match=f"^{re.escape(str(p))}: line 12: unknown key 'N'$"):
+        read_experiment_config(str(p))
+    p.write_text(CONFIG_TEXT.replace("missing_rate", "missing_rate#x"))
+    with pytest.raises(FormatError, match="unknown sweep kind 'missing_rate#x'"):
+        read_experiment_config(str(p))
 
 
 def test_config_keys_match_the_dataclasses():

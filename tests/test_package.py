@@ -3,7 +3,8 @@ exported name has a caller, the package defines every name the benchmark
 uses and every flag, field and module it reads, README's commands and
 config file parse, its python tour names what exists and shows the
 values the library returns, no module imports a name it leaves unused,
-and only ``fileio`` opens a file."""
+the package imports nothing but numpy and the standard library, and only
+``fileio`` opens a file."""
 
 import ast
 import dataclasses
@@ -204,6 +205,27 @@ def test_no_module_imports_a_name_it_does_not_use():
     found = [f"{path.relative_to(ROOT)}:{line}: {name}"
              for path in paths for line, name in unused_imports(path)]
     assert found == []
+
+
+def test_only_numpy_is_required_at_runtime():
+    # README promises it: every import of the package is relative, numpy or
+    # the standard library, and numpy is the one declared dependency
+    allowed = sys.stdlib_module_names | {"numpy"}
+    foreign = []
+    for path in sorted((ROOT / "src" / "spiked_pca").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}:{node.lineno}: {module}" for module in modules
+                        if module.split(".")[0] not in allowed]
+    assert foreign == []
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    (dependencies,) = re.findall(r"^dependencies = \[(.*)\]$", pyproject, flags=re.M)
+    assert re.findall(r'"([\w.-]+)', dependencies) == ["numpy"]
 
 
 def test_only_fileio_opens_files():
